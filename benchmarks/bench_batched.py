@@ -25,11 +25,11 @@ Part 3 (``--kernels``) benchmarks the pluggable compute kernels
 (:mod:`repro.simulation.kernels`) and writes a separate
 ``BENCH_kernels.json`` artifact:
 
-* **numpy vs packed (vs numba where installed)** — the same noiseless
-  LFSR batch (default ``B=256``, ``L=2**20``) through each kernel; the
-  packed uint64 bit-plane engine targets >= 4x with ~8x smaller bit
-  tensors (1 bit per clock instead of 1 byte);
-* **parity matrix** — every available kernel must return bit-for-bit
+* **numpy vs packed** — the same noiseless LFSR batch (default
+  ``B=256``, ``L=2**20``) through each kernel; the packed uint64
+  bit-plane engine targets >= 4x with ~8x smaller bit tensors (1 bit
+  per clock instead of 1 byte);
+* **parity matrix** — every kernel must return bit-for-bit
   identical values, output bits and error counts for all four SNG
   kinds, noisy and noiseless, and compose with chunking and sharding
   without changing a bit (the exit gate).
@@ -628,13 +628,13 @@ def _kernel_parity_matrix(circuit) -> dict:
     one-shot, and (for the packed kernels) composed with chunked
     streaming and thread-pool sharding.
     """
-    from repro.simulation.kernels import available_kernels
+    from repro.simulation.kernels import KERNELS
     from repro.simulation.runtime import simulate_chunked
 
     xs = np.linspace(0.0, 1.0, KERNEL_PARITY_BATCH)
     checks = {}
     exact = True
-    for kernel in available_kernels():
+    for kernel in KERNELS:
         if kernel == "numpy":
             continue
         for sng_kind in ("lfsr", "counter", "sobol", "chaotic"):
@@ -757,7 +757,7 @@ def _measured_streaming_peaks(circuit, kernels) -> dict:
 
 
 def bench_kernels(circuit, batch: int, length: int) -> dict:
-    """numpy vs packed (vs numba) on the noiseless LFSR hot path.
+    """numpy vs packed on the noiseless LFSR hot path.
 
     The timing config (default ``B=256``, ``L=2**20``) is the paper's
     long-stream regime; the recorded speedup targets >= 4x for the
@@ -767,7 +767,7 @@ def bench_kernels(circuit, batch: int, length: int) -> dict:
     gate is the parity matrix — machine-dependent speedups and peaks
     never fail the run.
     """
-    from repro.simulation.kernels import available_kernels
+    from repro.simulation.kernels import KERNELS
 
     xs = np.linspace(0.0, 1.0, batch)
     schedule = derive_seed_schedule(batch, np.random.default_rng(SEED))
@@ -777,7 +777,7 @@ def bench_kernels(circuit, batch: int, length: int) -> dict:
     reference_values = reference_errors = None
     reference_seconds = None
     values_exact = True
-    for kernel in available_kernels():
+    for kernel in KERNELS:
         seconds, outcome = best_of(
             2,
             lambda kernel=kernel: simulate_batch(
@@ -858,7 +858,7 @@ def _fault_parity_matrix(circuit) -> dict:
     engine bug, never sampling noise.
     """
     from repro.simulation.faultmodel import FaultSpec
-    from repro.simulation.kernels import available_kernels
+    from repro.simulation.kernels import KERNELS
     from repro.simulation.runtime import RuntimeConfig, run_batch
 
     scenarios = {
@@ -889,7 +889,7 @@ def _fault_parity_matrix(circuit) -> dict:
                 base_seed=SEED,
                 fault=fault,
             )
-            for kernel in available_kernels():
+            for kernel in KERNELS:
                 if kernel == "numpy":
                     continue
                 other = run_batch(
@@ -1518,8 +1518,8 @@ def main(argv=None) -> int:
         "--kernels",
         action="store_true",
         help=(
-            "also benchmark the compute kernels (numpy vs packed vs numba "
-            "where available) with a bit-exactness exit gate"
+            "also benchmark the compute kernels (numpy vs packed) with a "
+            "bit-exactness exit gate"
         ),
     )
     parser.add_argument(

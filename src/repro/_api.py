@@ -70,7 +70,6 @@ from .simulation import (
     RuntimeConfig,
     SeedSchedule,
     TransientSimulator,
-    available_kernels,
     derive_seed_schedule,
     fault_frontier,
     kernel_capabilities,
@@ -170,7 +169,6 @@ __all__ = [
     "SeedSchedule",
     "KERNELS",
     "TRANSPORTS",
-    "available_kernels",
     "kernel_capabilities",
     "derive_seed_schedule",
     "run_batch",

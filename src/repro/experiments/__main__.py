@@ -139,8 +139,8 @@ def main(argv=None) -> int:
         choices=KERNELS,
         default=None,
         help=(
-            "engine compute kernel: numpy (reference), packed (uint64 "
-            "bit-plane), numba (packed + JIT; needs the numba package)"
+            "engine compute kernel: numpy (reference) or packed (uint64 "
+            "bit-plane)"
         ),
     )
     runtime_group.add_argument(

@@ -29,7 +29,7 @@ loop for sustained overload:
 
 The served session's :class:`~repro.simulation.runtime.RuntimeConfig`
 knobs — workers, chunking, the engine's compute ``kernel``
-(``"numpy"``/``"packed"``/``"numba"``) and the shard ``transport``
+(``"numpy"``/``"packed"``) and the shard ``transport``
 (``"pickle"``/``"shm"`` zero-copy shared memory) — flow straight
 through :meth:`~repro.session.Evaluator.evaluate`, so a server can be
 pointed at the packed bit-plane kernel and shared-memory sharding for
@@ -285,6 +285,10 @@ class BatchServer:
         self._accepting = False
         self._metrics = MetricsRecorder()
         self._service_time_ewma: Optional[float] = None
+        # Deadline-gate bookkeeping: a batch is being formed or run, and
+        # the estimate refused a request since it was last measured.
+        self._in_flight = False
+        self._estimate_refused = False
         self._controller: Optional[DegradationController] = None
         self._rung_sessions: Dict[int, Evaluator] = {}
         self._rung_rmse: Dict[int, Optional[float]] = {}
@@ -473,18 +477,32 @@ class BatchServer:
         self._metrics.submitted += 1
         assert self._queue is not None
         try:
-            await self._queue.admit(
-                request, now, self._service_time_ewma or 0.0
-            )
+            await self._queue.admit(request, now, self._admission_estimate())
         except OverloadedError:
             self._metrics.shed += 1
             raise
         except DeadlineExceededError:
             self._metrics.expired += 1
+            self._estimate_refused = True
             raise
         self._metrics.admitted += 1
         self._metrics.record_queue_depth(self._queue.depth())
         return await future
+
+    def _admission_estimate(self) -> float:
+        """The service time the admission deadline gate compares against.
+
+        The estimate is refreshed only by a batch that runs, so a slow
+        first batch could otherwise refuse every later request forever.
+        While work is queued or in flight the measured estimate applies;
+        an idle server trusts it for one refusal, then admits the next
+        request as a probe whose batch re-measures it.
+        """
+        assert self._queue is not None
+        idle = not self._in_flight and self._queue.empty()
+        if idle and self._estimate_refused:
+            return 0.0
+        return self._service_time_ewma or 0.0
 
     async def submit_many(self, xs: Sequence[float]) -> List[float]:
         """Submit many inputs concurrently; resolves in input order."""
@@ -501,10 +519,12 @@ class BatchServer:
                 if queue.empty():
                     return
                 continue  # shutdown sentinel raced ahead of late requests
+            self._in_flight = True
             batch = await self._collect(request)
             batch = self._admit_to_batch(batch)
             if batch:
                 await self._evaluate_batch(batch)
+            self._in_flight = False
             if self._stopping and queue.empty():
                 return
 
@@ -542,13 +562,18 @@ class BatchServer:
         Cancelled submissions (client gave up, e.g. an
         ``asyncio.wait_for`` timeout) are dropped here so a dead future
         never reaches ``set_result``; requests whose deadline has
-        passed — or whose remaining budget is below the measured batch
-        service time — are failed with
-        :class:`~repro.errors.DeadlineExceededError` instead of
-        occupying a batch slot whose result nobody will read.
+        passed — or, while other requests are queued behind the batch,
+        whose remaining budget is below the measured batch service time
+        — are failed with :class:`~repro.errors.DeadlineExceededError`
+        instead of occupying a batch slot whose result nobody will read.
+        With nothing queued the batch runs anyway and re-measures the
+        estimate.
         """
         now = self._clock.time()
-        estimate = self._service_time_ewma or 0.0
+        assert self._queue is not None
+        estimate = (
+            0.0 if self._queue.empty() else self._service_time_ewma or 0.0
+        )
         admitted: List[Request] = []
         for request in batch:
             if request.future.done():
@@ -647,6 +672,7 @@ class BatchServer:
             self._service_time_ewma += _SERVICE_TIME_ALPHA * (
                 service_time - self._service_time_ewma
             )
+        self._estimate_refused = False
         if self._breaker is not None:
             self._breaker.record_success(finished)
         latencies = [finished - request.submitted_at for request in batch]

@@ -14,7 +14,7 @@ signature.  Here they become two frozen objects bound once:
   of a design point: SNG choice x stream length x architecture.
 * :class:`~repro.simulation.runtime.RuntimeConfig` — *how fast* to
   evaluate it: workers, chunk size, cache, and the engine's compute
-  ``kernel`` (``"numpy"``/``"packed"``/``"numba"``, see
+  ``kernel`` (``"numpy"``/``"packed"``, see
   :mod:`repro.simulation.kernels`).  Pure wall-clock/memory levers;
   never changes an output bit.
 

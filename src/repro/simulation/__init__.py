@@ -15,9 +15,7 @@ utilities for the robustness studies.
 from .receiver import OpticalReceiver, ReceiverDecision
 from .kernels import (
     KERNELS,
-    available_kernels,
     kernel_capabilities,
-    numba_available,
     pack_bits,
     popcount,
     resolve_kernel,
@@ -67,9 +65,7 @@ __all__ = [
     "OpticalReceiver",
     "ReceiverDecision",
     "KERNELS",
-    "available_kernels",
     "kernel_capabilities",
-    "numba_available",
     "pack_bits",
     "popcount",
     "resolve_kernel",

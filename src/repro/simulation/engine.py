@@ -8,10 +8,10 @@ vector of inputs in one such pass:
 
 1. per evaluation row, decorrelated SNG seeds are derived from the
    caller's ``rng`` (or a fixed ``base_seed``);
-2. data and coefficient streams are generated array-first — the LFSR via
-   its cached full-period state table and strided window gathers, the
-   Sobol/counter/chaotic randomizers via their vectorized forms in
-   :mod:`repro.stochastic.sng`;
+2. data and coefficient streams are one ``take(0, length)`` window of
+   the resumable per-bank stream sources
+   (:func:`repro.simulation.kernels.stream_source`) the chunked runtime
+   tiles — so one-shot and chunked streams agree by construction;
 3. the per-clock received power is a single ``(B, L)`` fancy-index into
    the precomputed Eq. 6 pattern table;
 4. the receiver slices the whole batch at once.
@@ -34,31 +34,18 @@ from ..errors import ConfigurationError
 
 if TYPE_CHECKING:
     from ..core.circuit import OpticalStochasticCircuit
-from ..stochastic.bitstream import exact_bit_matrix
-from ..stochastic.lfsr import lfsr_uniform_windows
-from ..stochastic.sng import (
-    SNG_KINDS,
-    chaotic_orbit,
-    chaotic_warmup,
-    derive_chaotic_intensities,
-    derive_lfsr_seeds,
-    derive_sobol_offsets,
-    van_der_corput,
-)
+from ..stochastic.sng import SNG_KINDS
 from .faultmodel import (
     FaultSpec,
     PackedFaultChannel,
-    pin_stuck_bits,
-    pin_stuck_words,
+    pin_stuck,
+    validate_fault,
 )
 from .kernels import (
-    PackedChaoticSource,
     optical_pass,
-    pack_bits,
-    packed_lfsr_comparator_bits,
     packed_optical_pass,
-    packed_sobol_comparator_bits,
     resolve_kernel,
+    stream_source,
 )
 
 __all__ = [
@@ -264,173 +251,6 @@ def _validate_sng_width(sng_kind: str, sng_width: int) -> None:
         )
 
 
-def _batch_uniforms(
-    kind: str,
-    base_seeds: "np.ndarray[Any, Any]",
-    channel_count: int,
-    length: int,
-    width: int,
-    offset: int = 0,
-) -> "np.ndarray[Any, Any]":
-    """Comparator sample tensor ``(B, channel_count, length)`` for *kind*.
-
-    Row ``b``, channel ``c`` holds exactly the uniform samples the
-    scalar path's ``make_independent_sngs(channel_count, kind,
-    base_seed=base_seeds[b])[c]`` would compare against.  With *offset*
-    the samples start ``offset`` clocks into each stream (the chunked
-    runtime's resume hook; lfsr and sobol only — chaotic streams resume
-    by carrying raw orbit state instead, see
-    :class:`repro.simulation.runtime._UniformCursor`).
-    """
-    if kind == "lfsr":
-        seeds = derive_lfsr_seeds(base_seeds, channel_count, width)
-        return lfsr_uniform_windows(seeds, length, width, offset=offset)
-    if kind == "sobol":
-        offsets = derive_sobol_offsets(base_seeds, channel_count)
-        indices = offsets[:, :, None] + (
-            offset + np.arange(length, dtype=np.int64)
-        )
-        return van_der_corput(indices, width)
-    if kind == "chaotic":
-        if offset != 0:
-            raise ConfigurationError(
-                "chaotic streams cannot be resumed by offset; carry the "
-                "orbit state instead"
-            )
-        intensities = derive_chaotic_intensities(base_seeds, channel_count)
-        warmups = np.asarray(
-            [chaotic_warmup(c) for c in range(channel_count)], dtype=np.int64
-        )
-        return chaotic_orbit(intensities, warmups[None, :], length)
-    raise ConfigurationError(f"unknown SNG kind {kind!r}")
-
-
-def _optical_pass(
-    circuit: "OpticalStochasticCircuit",
-    data_bits: "np.ndarray[Any, Any]",
-    coeff_bits: "np.ndarray[Any, Any]",
-    noise_a: Optional["np.ndarray[Any, Any]"],
-    kernel: str = "numpy",
-) -> Tuple[
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-]:
-    """Steps 3-4 of the pipeline for one ``(B, C, L)`` bit-tensor tile.
-
-    Returns ``(powers, output_bits, ideal_bits, levels)``; shared by the
-    one-shot batch evaluation and the chunked streaming runtime so the
-    two stay bit-for-bit identical per tile.  Delegates to the pluggable
-    compute-kernel layer (:mod:`repro.simulation.kernels`), which also
-    memoizes the link budget / Eq. 6 table / threshold receiver per
-    circuit fingerprint instead of rebuilding them per call.
-    """
-    return optical_pass(circuit, data_bits, coeff_bits, noise_a, kernel=kernel)
-
-
-def _generate_streams(
-    sng_kind: str,
-    kernel: str,
-    xs: "np.ndarray[Any, Any]",
-    coefficients: "np.ndarray[Any, Any]",
-    data_seeds: "np.ndarray[Any, Any]",
-    coeff_seeds: "np.ndarray[Any, Any]",
-    length: int,
-    sng_width: int,
-) -> Tuple[str, "np.ndarray[Any, Any]", "np.ndarray[Any, Any]"]:
-    """Data/coefficient streams for one batch: ``(form, data, coeff)``.
-
-    ``form`` is ``"bits"`` (``(B, C, L)`` uint8 tensors, the numpy
-    kernel's layout) or ``"words"`` (``(B, C, L // 64)`` packed uint64,
-    the packed kernels').  The packed kernels generate every randomizer
-    in word form directly: LFSR and Sobol comparator streams come off
-    their cached packed cycles, chaotic streams are packed blockwise
-    from the carried orbit — never materializing the ``(B, C, L)``
-    float64 uniforms — and the counter randomizer's deterministic
-    matrix is packed once per distinct stream.  Only the fallback cases
-    (registers/widths beyond the cycle-table caps) are generated
-    unpacked and packed afterwards.  Either way the resulting streams
-    are bit-for-bit the comparator decisions of the numpy layout.
-    """
-    batch = xs.size
-    order = coefficients.size - 1
-    channel_count = order + 1
-    if sng_kind == "counter":
-        data_matrix = exact_bit_matrix(xs, length)
-        coeff_matrix = exact_bit_matrix(coefficients, length)
-        if kernel == "numpy":
-            return (
-                "bits",
-                np.broadcast_to(
-                    data_matrix[:, None, :], (batch, order, length)
-                ),
-                np.broadcast_to(
-                    coeff_matrix[None, :, :], (batch, channel_count, length)
-                ),
-            )
-        words = (length + 63) // 64
-        return (
-            "words",
-            np.broadcast_to(
-                pack_bits(data_matrix)[:, None, :], (batch, order, words)
-            ),
-            np.broadcast_to(
-                pack_bits(coeff_matrix)[None, :, :],
-                (batch, channel_count, words),
-            ),
-        )
-    if kernel != "numpy" and sng_kind == "lfsr":
-        data_words = packed_lfsr_comparator_bits(
-            derive_lfsr_seeds(data_seeds, order, sng_width),
-            xs[:, None],
-            length,
-            sng_width,
-        )
-        coeff_words = packed_lfsr_comparator_bits(
-            derive_lfsr_seeds(coeff_seeds, channel_count, sng_width),
-            coefficients[None, :],
-            length,
-            sng_width,
-        )
-        if data_words is not None and coeff_words is not None:
-            return "words", data_words, coeff_words
-    if kernel != "numpy" and sng_kind == "sobol":
-        data_words = packed_sobol_comparator_bits(
-            derive_sobol_offsets(data_seeds, order),
-            xs[:, None],
-            length,
-            sng_width,
-        )
-        coeff_words = packed_sobol_comparator_bits(
-            derive_sobol_offsets(coeff_seeds, channel_count),
-            coefficients[None, :],
-            length,
-            sng_width,
-        )
-        if data_words is not None and coeff_words is not None:
-            return "words", data_words, coeff_words
-    if kernel != "numpy" and sng_kind == "chaotic":
-        data_source = PackedChaoticSource(data_seeds, xs[:, None], order)
-        coeff_source = PackedChaoticSource(
-            coeff_seeds, coefficients[None, :], channel_count
-        )
-        return (
-            "words",
-            data_source.take(0, length),
-            coeff_source.take(0, length),
-        )
-    data_u = _batch_uniforms(sng_kind, data_seeds, order, length, sng_width)
-    coeff_u = _batch_uniforms(
-        sng_kind, coeff_seeds, channel_count, length, sng_width
-    )
-    data_bits = (data_u < xs[:, None, None]).astype(np.uint8)
-    coeff_bits = (coeff_u < coefficients[None, :, None]).astype(np.uint8)
-    if kernel == "numpy":
-        return "bits", data_bits, coeff_bits
-    return "words", pack_bits(data_bits), pack_bits(coeff_bits)
-
-
 def simulate_batch(
     circuit: "OpticalStochasticCircuit",
     xs: Any,
@@ -477,11 +297,9 @@ def simulate_batch(
         the relocatable protocol the sharded/chunked runtime relies on.
     kernel:
         Compute kernel (:data:`repro.simulation.kernels.KERNELS`):
-        ``"numpy"`` (reference, default), ``"packed"`` (dependency-free
-        uint64 bit-plane engine) or ``"numba"`` (packed with a JIT word
-        loop; requires the optional numba package).  A pure wall-clock/
-        memory lever: every kernel returns bit-for-bit identical
-        results.
+        ``"numpy"`` (reference, default) or ``"packed"`` (dependency-free
+        uint64 bit-plane engine).  A pure wall-clock/memory lever: both
+        kernels return bit-for-bit identical results.
     fault:
         Optional :class:`~repro.simulation.faultmodel.FaultSpec` fault
         scenario.  A stuck MZI pins its data channel before the optical
@@ -498,15 +316,11 @@ def simulate_batch(
     )
     params = circuit.params
     order = params.order
+    channel_count = order + 1
     batch = xs.size
     coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
     noise_sigma = params.detector.noise_current_a
-    if fault is not None:
-        if not isinstance(fault, FaultSpec):
-            raise ConfigurationError(
-                f"fault must be a FaultSpec, got {fault!r}"
-            )
-        fault.validate_against_order(order)
+    validate_fault(fault, order)
 
     noise_a: Optional["np.ndarray[Any, Any]"] = (
         np.empty((batch, length), dtype=float) if noisy else None
@@ -549,36 +363,32 @@ def simulate_batch(
             coeff_seeds[:] = fixed + COEFF_SEED_STRIDE
 
     # 1-2. randomizers: data streams for the MZIs, coefficient streams
-    # for the MRRs — (B, channels, L) bit tensors for the numpy kernel,
-    # packed (B, channels, L // 64) uint64 words for the packed ones.
-    form, data_streams, coeff_streams = _generate_streams(
-        sng_kind,
-        kernel,
-        xs,
-        coefficients,
-        data_seeds,
-        coeff_seeds,
-        length,
-        sng_width,
+    # for the MRRs — one window of the same resumable sources the
+    # chunked runtime tiles.
+    packed = kernel == "packed"
+    data_source = stream_source(
+        sng_kind, data_seeds, order, sng_width, xs[:, None], length, packed
     )
-    if fault is not None and fault.stuck_channel is not None:
-        # Pinned *before* the optical pass: a stuck MZI changes the
-        # select level, hence the faulty circuit's powers and ideal
-        # decisions too.  (The generators may return broadcast views —
-        # the pinning helpers copy.)
-        if form == "words":
-            data_streams = pin_stuck_words(data_streams, fault, length)
-        else:
-            data_streams = pin_stuck_bits(data_streams, fault)
+    coeff_source = stream_source(
+        sng_kind,
+        coeff_seeds,
+        channel_count,
+        sng_width,
+        coefficients[None, :],
+        length,
+        packed,
+    )
+    data_streams = pin_stuck(data_source.take(0, length), fault, length)
+    coeff_streams = coeff_source.take(0, length)
 
-    # 3-4. per-clock optics + receiver, shared with the chunked runtime.
-    if form == "words":
+    # 3-4. per-clock optics + receiver.
+    if packed:
         powers, output_bits, ideal_bits, levels = packed_optical_pass(
-            circuit, data_streams, coeff_streams, noise_a, length, kernel=kernel
+            circuit, data_streams, coeff_streams, noise_a, length
         )
     else:
-        powers, output_bits, ideal_bits, levels = _optical_pass(
-            circuit, data_streams, coeff_streams, noise_a, kernel=kernel
+        powers, output_bits, ideal_bits, levels = optical_pass(
+            circuit, data_streams, coeff_streams, noise_a
         )
 
     if fault is not None and fault.has_stream_faults:

@@ -55,12 +55,15 @@ __all__ = [
     "FAULT_PROBABILITY_BITS",
     "FaultSpec",
     "PackedFaultChannel",
+    "validate_fault",
 ]
 
 FAULT_PROBABILITY_BITS = 16
 """Quantization of fault probabilities: ``p`` rounds to ``p * 2**16``."""
 
 _PROBABILITY_ONE = 1 << FAULT_PROBABILITY_BITS
+_SMALLEST_FLIP_PROBABILITY = 0.5 / _PROBABILITY_ONE
+"""Largest rate whose quantized threshold rounds to zero flips."""
 _MEGACLOCK = float(1 << 20)
 _MAX_SHIFT_CLOCKS = 1 << 20
 
@@ -144,6 +147,14 @@ class FaultSpec:
                 f"flip_probability must be in [0, 1], got "
                 f"{self.flip_probability!r}"
             )
+        if 0.0 < self.flip_probability <= _SMALLEST_FLIP_PROBABILITY:
+            # Would quantize to a zero threshold and inject no flips.
+            raise ConfigurationError(
+                f"flip_probability {self.flip_probability!r} is below the "
+                f"mask resolution of 2**-{FAULT_PROBABILITY_BITS} "
+                f"(FAULT_PROBABILITY_BITS = {FAULT_PROBABILITY_BITS}); "
+                f"use 0 or a rate above {_SMALLEST_FLIP_PROBABILITY!r}"
+            )
         if self.drift_ramp_per_mclock < 0.0:
             raise ConfigurationError(
                 f"drift_ramp_per_mclock must be >= 0, got "
@@ -212,6 +223,15 @@ class FaultSpec:
                 f"stuck_channel {self.stuck_channel} out of range for a "
                 f"circuit of order {order} ({order} data-MZI channels)"
             )
+
+
+def validate_fault(fault: Optional[FaultSpec], order: int) -> None:
+    """Entry validation of the ``fault=`` argument of every evaluation path."""
+    if fault is None:
+        return
+    if not isinstance(fault, FaultSpec):
+        raise ConfigurationError(f"fault must be a FaultSpec, got {fault!r}")
+    fault.validate_against_order(order)
 
 
 def _mix64(x: "np.ndarray[Any, Any]") -> "np.ndarray[Any, Any]":
@@ -516,27 +536,29 @@ def fault_channel_for(
     return PackedFaultChannel(spec, noise_seeds, length)
 
 
-def pin_stuck_words(
-    data_words: "np.ndarray[Any, Any]", spec: FaultSpec, count: int
+def pin_stuck(
+    data_streams: "np.ndarray[Any, Any]",
+    spec: Optional[FaultSpec],
+    count: int,
 ) -> "np.ndarray[Any, Any]":
-    """Packed data streams with the stuck channel pinned (a fresh copy).
+    """Data streams with the stuck MZI channel pinned (a fresh copy).
 
-    *count* is the tile's clock count — a pinned-high channel keeps the
-    packed zero-tail invariant.
+    Pinned *before* the optical pass: a stuck MZI changes the select
+    level, hence the faulty circuit's powers and ideal decisions too.
+    Takes either layout — ``(B, C, count)`` uint8 bits or packed
+    ``(B, C, ceil(count / 64))`` uint64 words, where a pinned-high
+    channel keeps the zero-tail invariant.  Without a stuck channel the
+    streams are returned as they are.
     """
-    pinned = np.array(data_words)
-    if spec.stuck_value:
-        pinned[:, spec.stuck_channel, :] = _ALL_ONES
-        _mask_tail(pinned[:, spec.stuck_channel, :], count)
+    if spec is None or spec.stuck_channel is None:
+        return data_streams
+    pinned = np.array(data_streams)
+    channel = pinned[:, spec.stuck_channel, :]
+    if pinned.dtype != np.uint64:
+        channel[...] = spec.stuck_value
+    elif spec.stuck_value:
+        channel[...] = _ALL_ONES
+        _mask_tail(channel, count)
     else:
-        pinned[:, spec.stuck_channel, :] = np.uint64(0)
-    return pinned
-
-
-def pin_stuck_bits(
-    data_bits: "np.ndarray[Any, Any]", spec: FaultSpec
-) -> "np.ndarray[Any, Any]":
-    """Byte-layout data streams with the stuck channel pinned (a copy)."""
-    pinned = np.array(data_bits)
-    pinned[:, spec.stuck_channel, :] = np.uint8(spec.stuck_value)
+        channel[...] = np.uint64(0)
     return pinned

@@ -5,12 +5,12 @@ ultra-cheap single-gate bitwise logic on long bit streams.  The numpy
 engine of PR 1 vectorized the pipeline but still spends one *byte* (or
 one float64) of memory traffic per stream *bit*; this module adds a
 **kernel** dimension — orthogonal to the process/thread *pool* backend
-of :mod:`repro.simulation.runtime` — with three implementations behind
+of :mod:`repro.simulation.runtime` — with two implementations behind
 the unchanged ``simulate_batch`` signature:
 
 ``"numpy"``
     The reference engine: ``(B, C, L)`` uint8 bit tensors, one fancy
-    index into the Eq. 6 pattern table per clock.  Always available.
+    index into the Eq. 6 pattern table per clock.
 ``"packed"``
     Dependency-free bit-plane engine: data/coefficient bits are packed
     64 clocks per uint64 word (``(B, C, L//64)``), the adder level is a
@@ -22,15 +22,9 @@ the unchanged ``simulate_batch`` signature:
     packed words via popcount (:func:`popcount` —
     ``np.bitwise_count`` when the numpy build has it, a 16-bit LUT
     otherwise).
-``"numba"``
-    The packed engine with its per-word key-assembly loop JIT-compiled
-    by numba.  Optional: gated on import availability —
-    :func:`resolve_kernel` raises a clear
-    :class:`~repro.errors.ConfigurationError` when numba is absent, and
-    the test suite skips (not fails) the numba legs.
 
-Every kernel is **bit-for-bit identical** to ``"numpy"`` for all four
-SNG kinds, noisy and noiseless (enforced by ``tests/test_kernels.py``
+The packed kernel is **bit-for-bit identical** to ``"numpy"`` for all
+four SNG kinds, noisy and noiseless (enforced by ``tests/test_kernels.py``
 and the ``bench_batched.py --kernels`` exit gate): the packed pipeline
 re-derives exactly the same comparator decisions, adder levels and
 receiver thresholds, only in a different data layout.  Choosing a
@@ -40,8 +34,10 @@ backend and the chunk size.
 The module also owns the memoized per-circuit pass context
 (:func:`pass_context`): the link budget, Eq. 6 table and threshold
 receiver are built once per circuit fingerprint instead of once per
-``_optical_pass`` call, which previously repeated that work for every
-tile of a chunked stream.
+optical pass, which previously repeated that work for every tile of a
+chunked stream — and the comparator stream sources
+(:func:`stream_source`) both the one-shot engine and the chunked
+runtime draw their randomizer banks from.
 """
 
 from __future__ import annotations
@@ -49,25 +45,32 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
-from ..stochastic.lfsr import _TABLE_MAX_WIDTH, _cycle_tables, _resolve_taps
+from ..stochastic.bitstream import exact_bit_window
+from ..stochastic.lfsr import (
+    LFSR,
+    _TABLE_MAX_WIDTH,
+    _cycle_tables,
+    _resolve_taps,
+    lfsr_uniform_windows,
+)
 from ..stochastic.sng import (
     chaotic_orbit,
     chaotic_warmup,
     derive_chaotic_intensities,
+    derive_lfsr_seeds,
+    derive_sobol_offsets,
     van_der_corput,
 )
 from .receiver import OpticalReceiver
 
 __all__ = [
     "KERNELS",
-    "available_kernels",
     "kernel_capabilities",
-    "numba_available",
     "resolve_kernel",
     "pack_bits",
     "unpack_bits",
@@ -78,13 +81,11 @@ __all__ = [
     "packed_optical_pass",
     "PackedLfsrSource",
     "PackedSobolSource",
-    "PackedChaoticSource",
-    "packed_lfsr_comparator_bits",
-    "packed_sobol_comparator_bits",
+    "stream_source",
     "packed_tile_statistics",
 ]
 
-KERNELS: Tuple[str, ...] = ("numpy", "packed", "numba")
+KERNELS: Tuple[str, ...] = ("numpy", "packed")
 """Compute-kernel implementations behind ``simulate_batch``."""
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
@@ -95,60 +96,17 @@ _WORD_BITS = 64
 # -- kernel registry -----------------------------------------------------------
 
 
-_NUMBA_STATE: Dict[str, object] = {"checked": False, "available": False}
-_NUMBA_LOCK = threading.Lock()
-
-
-def numba_available() -> bool:
-    """Whether the optional numba JIT dependency can be imported.
-
-    The import is attempted once and memoized — numba's first import is
-    expensive, and callers probe availability on every
-    :class:`~repro.simulation.runtime.RuntimeConfig` construction.
-    Thread backends probe concurrently, so the check-and-memoize is
-    double-checked under the module lock.
-    """
-    if _NUMBA_STATE["checked"]:
-        return bool(_NUMBA_STATE["available"])
-    with _NUMBA_LOCK:
-        if not _NUMBA_STATE["checked"]:
-            try:
-                import numba  # noqa: F401
-
-                _NUMBA_STATE["available"] = True
-            except ImportError:
-                _NUMBA_STATE["available"] = False
-            _NUMBA_STATE["checked"] = True
-    return bool(_NUMBA_STATE["available"])
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """The kernels usable in this environment, in registry order."""
-    return tuple(
-        name
-        for name in KERNELS
-        if name != "numba" or numba_available()
-    )
-
-
 def resolve_kernel(kernel: str) -> str:
-    """Validate a kernel name, failing fast on unknown/unavailable ones.
+    """Validate a kernel name, failing fast on unknown ones.
 
     Unknown names raise whatever the caller is — a
     :class:`~repro.simulation.runtime.RuntimeConfig` constructor, the
     engine entry points, the CLI — so a typo can never silently fall
-    back to the reference kernel.  ``"numba"`` additionally requires the
-    optional dependency to be importable.
+    back to the reference kernel.
     """
     if kernel not in KERNELS:
         raise ConfigurationError(
             f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-        )
-    if kernel == "numba" and not numba_available():
-        raise ConfigurationError(
-            "kernel 'numba' requires the optional numba package, which is "
-            "not installed; use kernel='packed' for the dependency-free "
-            "bit-plane engine"
         )
     return kernel
 
@@ -166,8 +124,8 @@ def kernel_capabilities() -> Dict[str, Dict[str, Any]]:
             "requires": None,
             "bit_tensor_bytes_per_bit": 1.0,
             "description": (
-                "reference engine: uint8 bit tensors, always available; "
-                "fastest for tiny batches where packing overhead dominates"
+                "reference engine: uint8 bit tensors; fastest for tiny "
+                "batches where packing overhead dominates"
             ),
         },
         "packed": {
@@ -178,15 +136,6 @@ def kernel_capabilities() -> Dict[str, Dict[str, Any]]:
                 "dependency-free uint64 bit-plane engine: 8x smaller bit "
                 "tensors; wins on long noiseless streams (the LFSR hot "
                 "path runs on words, not bytes)"
-            ),
-        },
-        "numba": {
-            "available": numba_available(),
-            "requires": "numba",
-            "bit_tensor_bytes_per_bit": 1.0 / 8.0,
-            "description": (
-                "the packed engine with the per-word key-assembly loop "
-                "JIT-compiled; requires the optional numba package"
             ),
         },
     }
@@ -288,8 +237,8 @@ class CircuitPassContext:
 
     Holds the link budget, the Eq. 6 received-power table and the
     calibrated threshold receiver — previously rebuilt on every
-    ``_optical_pass`` call, i.e. once per tile of a chunked stream —
-    plus the packed kernels' flat per-``(pattern, level)`` lookup
+    optical pass, i.e. once per tile of a chunked stream —
+    plus the packed kernel's flat per-``(pattern, level)`` lookup
     tables, built lazily on first packed use.
 
     The flat tables index on ``key = (level << channel_count) |
@@ -324,7 +273,7 @@ class CircuitPassContext:
         return max(1, int(self.order).bit_length())
 
     def _flat_tables(self) -> Dict[str, Any]:
-        """The packed kernels' flat lookup tables (built once, lazily)."""
+        """The packed kernel's flat lookup tables (built once, lazily)."""
         flat = self._flat
         if flat is None:
             order, channels = self.order, self.channel_count
@@ -446,8 +395,8 @@ def _pattern_index(
     return pattern.astype(np.int64)
 
 
-def _numpy_optical_pass(
-    context: CircuitPassContext,
+def optical_pass(
+    circuit: Any,
     data_bits: "np.ndarray[Any, Any]",
     coeff_bits: "np.ndarray[Any, Any]",
     noise_a: Optional["np.ndarray[Any, Any]"],
@@ -457,7 +406,14 @@ def _numpy_optical_pass(
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
 ]:
-    """The reference per-clock optics + receiver pass on byte tensors."""
+    """The reference per-clock optics + receiver pass on byte tensors.
+
+    Steps 3-4 of the pipeline for one ``(B, C, L)`` bit-tensor tile:
+    returns ``(powers, output_bits, ideal_bits, levels)``, shared by the
+    one-shot batch evaluation and the chunked streaming runtime, and
+    reproduced bit for bit by :func:`packed_optical_pass`.
+    """
+    context = pass_context(circuit)
     levels = data_bits.sum(axis=1, dtype=np.int64)
     pattern_index = _pattern_index(coeff_bits)
     powers = context.table[pattern_index, levels]
@@ -498,64 +454,13 @@ def _assemble_keys(
     """Per-clock lookup keys from bit planes: ``(B, length)`` of *dtype*.
 
     Plane ``i`` contributes bit ``i`` of the key.  This is the packed
-    kernels' only per-clock byte materialization.
+    kernel's only per-clock byte materialization.
     """
     keys = np.zeros((planes[0].shape[0], int(length)), dtype=dtype)
     for index, plane in enumerate(planes):
         bits = unpack_bits(plane, length)
         keys |= bits.astype(dtype) << dtype(index)
     return keys
-
-
-def _numba_assemble_keys(
-    planes: List["np.ndarray[Any, Any]"], length: int, dtype: Any
-) -> "np.ndarray[Any, Any]":
-    """The numba kernel's JIT key assembly (same contract as numpy's)."""
-    jit = _numba_key_loop()
-    stacked = np.ascontiguousarray(np.stack(planes, axis=0))
-    out = np.zeros((stacked.shape[1], int(length)), dtype=np.int64)
-    jit(stacked, int(length), out)
-    return out.astype(dtype)
-
-
-_NUMBA_KEY_LOOP: Optional[Callable[..., Any]] = None
-
-
-def _numba_key_loop() -> Callable[..., Any]:
-    """Compile (once) the per-word key-assembly loop with numba.
-
-    Guarded by the module numba lock: concurrent thread-backend shards
-    must not race the one-time JIT compile and rebind.
-    """
-    global _NUMBA_KEY_LOOP
-    loop = _NUMBA_KEY_LOOP
-    if loop is not None:
-        return loop
-    with _NUMBA_LOCK:
-        loop = _NUMBA_KEY_LOOP
-        if loop is None:
-            import numba
-
-            @numba.njit(cache=False)
-            def key_loop(  # pragma: no cover - needs numba
-                planes: "np.ndarray[Any, Any]",
-                length: int,
-                out: "np.ndarray[Any, Any]",
-            ) -> None:
-                plane_count, batch, words = planes.shape
-                for b in range(batch):
-                    for w in range(words):
-                        base = w * 64
-                        limit = min(64, length - base)
-                        for j in range(limit):
-                            key = 0
-                            for p in range(plane_count):
-                                key |= ((planes[p, b, w] >> j) & 1) << p
-                            out[b, base + j] = key
-
-            loop = key_loop
-            _NUMBA_KEY_LOOP = loop
-    return loop
 
 
 def _key_planes(
@@ -578,12 +483,9 @@ def _packed_keys(
     data_words: "np.ndarray[Any, Any]",
     coeff_words: "np.ndarray[Any, Any]",
     length: int,
-    kernel: str,
 ) -> "np.ndarray[Any, Any]":
     flat = context._flat_tables()
     planes = _key_planes(context, data_words, coeff_words)
-    if kernel == "numba":
-        return _numba_assemble_keys(planes, length, flat["key_dtype"])
     return _assemble_keys(planes, length, flat["key_dtype"])
 
 
@@ -593,14 +495,13 @@ def packed_optical_pass(
     coeff_words: "np.ndarray[Any, Any]",
     noise_a: Optional["np.ndarray[Any, Any]"],
     length: int,
-    kernel: str = "packed",
 ) -> Tuple[
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
 ]:
-    """The packed kernels' optics + receiver pass, full per-clock output.
+    """The packed kernel's optics + receiver pass, full per-clock output.
 
     Takes ``(B, C, W)`` packed word tensors (see :func:`pack_bits`) and
     returns the same ``(powers, output_bits, ideal_bits, levels)`` tuple
@@ -610,7 +511,7 @@ def packed_optical_pass(
     """
     context = pass_context(circuit)
     flat = context._flat_tables()
-    keys = _packed_keys(context, data_words, coeff_words, length, kernel)
+    keys = _packed_keys(context, data_words, coeff_words, length)
     powers = flat["powers"].take(keys)
     levels = (keys >> np.uint8(context.channel_count)).astype(np.int64)
     if noise_a is None:
@@ -657,40 +558,14 @@ def _key_counts(
     ).reshape(batch, size)
 
 
-def optical_pass(
-    circuit: Any,
-    data_bits: "np.ndarray[Any, Any]",
-    coeff_bits: "np.ndarray[Any, Any]",
-    noise_a: Optional["np.ndarray[Any, Any]"],
-    kernel: str = "numpy",
-) -> Tuple[
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-]:
-    """Steps 3-4 of the pipeline for one ``(B, C, L)`` bit-tensor tile.
-
-    Returns ``(powers, output_bits, ideal_bits, levels)``; shared by the
-    one-shot batch evaluation and the chunked streaming runtime so the
-    two stay bit-for-bit identical per tile — whatever the *kernel*.
-    """
-    kernel = resolve_kernel(kernel)
-    context = pass_context(circuit)
-    if kernel == "numpy":
-        return _numpy_optical_pass(context, data_bits, coeff_bits, noise_a)
-    length = data_bits.shape[-1]
-    return packed_optical_pass(
-        circuit,
-        pack_bits(data_bits),
-        pack_bits(coeff_bits),
-        noise_a,
-        length,
-        kernel=kernel,
-    )
+# -- comparator stream sources -------------------------------------------------
 
 
-# -- packed comparator-word generation -----------------------------------------
+def _check_window(offset: int, count: int) -> None:
+    if offset < 0 or count <= 0:
+        raise ConfigurationError(
+            f"invalid window offset={offset!r} count={count!r}"
+        )
 
 
 class _PackedCycleSource:
@@ -744,10 +619,7 @@ class _PackedCycleSource:
 
     def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
         """Packed words for stream clocks ``[offset, offset + count)``."""
-        if offset < 0 or count <= 0:
-            raise ConfigurationError(
-                f"invalid window offset={offset!r} count={count!r}"
-            )
+        _check_window(offset, count)
         words = _word_count(count)
         positions = (
             self._starts[..., None].astype(np.int64)
@@ -868,119 +740,179 @@ class PackedSobolSource(_PackedCycleSource):
         return cls(starts, inverse, packed_cycles, period)
 
 
-_CHAOTIC_PACK_BLOCK = 4096
-"""Clocks advanced per internal block of :class:`PackedChaoticSource`.
+_PACK_BLOCK = 4096
+"""Clocks compared and packed per block by a packed :class:`_ComparatorSource`.
 
 A multiple of 64 so block boundaries align with word boundaries; bounds
 the float materialization at ``(B, C, block)`` instead of the full
-stream length.
+window.
 """
 
 
-class PackedChaoticSource:
-    """Sequential packed comparator source over carried chaotic orbits.
+class _ComparatorSource:
+    """Comparator streams from explicit uniforms: ``uniforms < values``.
 
-    Chaotic logistic-map orbits have no periodic structure to cache, so
-    unlike the cycle sources this one *computes* — but in fixed-size
-    64-clock-aligned blocks: each block advances the raw orbit state
-    with :func:`repro.stochastic.sng.chaotic_orbit` (the exact
-    elementwise float sequence of the unpacked path), compares, and
-    packs straight into the output words.  The ``(B, C, L)`` float64
-    uniforms of a long stream are never materialized — peak extra
-    memory is one ``(B, C, 4096)`` block.
-
-    Like the unpacked chaotic cursor, resume is by carried state only:
-    :meth:`take` windows must be issued in sequential stream order.
+    The numpy kernel's reference source, and the packed kernel's source
+    wherever no cycle applies (chaotic orbits, widths past the cycle
+    caps).  The uniforms are the exact floats the scalar SNGs draw.
+    Table-cached LFSRs and Sobol streams are index maps, so any offset
+    is a cheap re-aim; chaotic orbits and LFSRs too wide for the cycle
+    table are iterated state machines whose state is carried forward,
+    so they resume only in sequence — re-stepping ``offset`` states per
+    window would make long streams quadratic.  Packed output is
+    compared and packed in :data:`_PACK_BLOCK`-clock blocks.
     """
 
     def __init__(
-        self, base_seeds: Any, values: Any, channel_count: int
+        self,
+        kind: str,
+        stream_seeds: "np.ndarray[Any, Any]",
+        width: int,
+        values: Any,
+        packed: bool,
     ) -> None:
-        seeds = np.atleast_1d(np.asarray(base_seeds, dtype=np.int64))
-        self._state = derive_chaotic_intensities(seeds, int(channel_count))
-        self._warmups = np.asarray(
-            [chaotic_warmup(c) for c in range(int(channel_count))],
-            dtype=np.int64,
-        )[None, :]
-        self._values = np.broadcast_to(
-            np.asarray(values, dtype=float), self._state.shape
-        )
+        self._kind = kind
+        # LFSR seeds, Sobol offsets, or the carried chaotic orbit state.
+        self._seeds = stream_seeds
+        self._width = int(width)
+        self._values = np.asarray(values, dtype=float)[..., None]
+        self._packed = packed
         self._next_offset = 0
+        self._registers: Optional[List[LFSR]] = None
+        if kind == "lfsr" and self._width > _TABLE_MAX_WIDTH:
+            self._registers = [
+                LFSR(self._width, int(seed)) for seed in stream_seeds.flat
+            ]
+        elif kind == "chaotic":
+            self._warmups = np.asarray(
+                [chaotic_warmup(c) for c in range(stream_seeds.shape[-1])],
+                dtype=np.int64,
+            )[None, :]
 
-    @classmethod
-    def create(
-        cls, base_seeds: Any, values: Any, channel_count: int
-    ) -> "PackedChaoticSource":
-        """Factory mirroring the cycle sources' (never ``None``)."""
-        return cls(base_seeds, values, channel_count)
-
-    def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
-        """Packed words for stream clocks ``[offset, offset + count)``."""
-        if offset < 0 or count <= 0:
-            raise ConfigurationError(
-                f"invalid window offset={offset!r} count={count!r}"
+    def _uniforms(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
+        if self._kind == "sobol":
+            indices = self._seeds[..., None] + (
+                offset + np.arange(count, dtype=np.int64)
+            )
+            return van_der_corput(indices, self._width)
+        if self._kind == "lfsr" and self._registers is None:
+            return lfsr_uniform_windows(
+                self._seeds, count, self._width, offset=offset
             )
         if offset != self._next_offset:
             raise ConfigurationError(
                 "stateful streams resume sequentially: expected offset "
                 f"{self._next_offset}, got {offset}"
             )
-        out = np.empty(
-            self._state.shape + (_word_count(count),), dtype=np.uint64
-        )
-        done = 0
-        while done < count:
-            block = min(_CHAOTIC_PACK_BLOCK, count - done)
-            warmups = self._warmups if offset + done == 0 else 0
-            uniforms, self._state = chaotic_orbit(
-                self._state, warmups, block, return_state=True
-            )
-            bits = (uniforms < self._values[..., None]).astype(np.uint8)
-            word = done // _WORD_BITS
-            out[..., word : word + _word_count(block)] = pack_bits(bits)
-            done += block
         self._next_offset = offset + count
+        if self._registers is not None:
+            # Fallback tile for registers wider than the cycle table;
+            # a packed take asks for at most one _PACK_BLOCK at a time.
+            out = np.empty(self._seeds.shape + (count,), dtype=float)
+            cells = np.ndindex(self._seeds.shape)
+            for cell, register in zip(cells, self._registers):
+                out[cell] = register.uniform(count)
+            return out
+        warmups = self._warmups if offset == 0 else 0
+        uniforms, self._seeds = chaotic_orbit(
+            self._seeds, warmups, count, return_state=True
+        )
+        return uniforms
+
+    def _bits(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
+        return (self._uniforms(offset, count) < self._values).astype(np.uint8)
+
+    def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
+        """Bits (or packed words) for clocks ``[offset, offset + count)``."""
+        _check_window(offset, count)
+        if not self._packed:
+            return self._bits(offset, count)
+        out = np.empty(
+            self._seeds.shape + (_word_count(count),), dtype=np.uint64
+        )
+        for done in range(0, count, _PACK_BLOCK):
+            block = min(_PACK_BLOCK, count - done)
+            word = done // _WORD_BITS
+            out[..., word : word + _word_count(block)] = pack_bits(
+                self._bits(offset + done, block)
+            )
         return out
 
 
-def packed_lfsr_comparator_bits(
-    seeds: "np.ndarray[Any, Any]",
-    values: "np.ndarray[Any, Any]",
-    length: int,
-    width: int,
-    offset: int = 0,
-) -> Optional["np.ndarray[Any, Any]"]:
-    """One-shot :class:`PackedLfsrSource` window (``None`` = fall back).
+class _CounterSource:
+    """The counter randomizer: deterministic evenly-spread streams.
 
-    Returns the ``(B, C, ceil(length / 64))`` uint64 words that
-    ``pack_bits(lfsr_uniform_windows(seeds, length, width, offset=offset)
-    < values[..., None])`` would produce, or ``None`` when the packed
-    fast path does not apply.
+    Every stream of one value is the same, so one window per value is
+    generated (:func:`exact_bit_window` — any offset, no state) and
+    broadcast across the bank as a read-only view.
     """
-    source = PackedLfsrSource.create(seeds, values, width)
-    if source is None:
-        return None
-    return source.take(offset, length)
+
+    def __init__(
+        self, values: Any, shape: Tuple[int, int], length: int, packed: bool
+    ) -> None:
+        self._values = np.asarray(values, dtype=float)
+        self._shape = shape
+        self._length = int(length)
+        self._packed = packed
+
+    def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
+        """Bits (or packed words) for clocks ``[offset, offset + count)``."""
+        bits = exact_bit_window(
+            self._values.reshape(-1), self._length, offset, offset + count
+        ).reshape(self._values.shape + (count,))
+        out = pack_bits(bits) if self._packed else bits
+        return np.broadcast_to(out, self._shape + out.shape[-1:])
 
 
-def packed_sobol_comparator_bits(
-    offsets: "np.ndarray[Any, Any]",
-    values: "np.ndarray[Any, Any]",
-    length: int,
+def stream_source(
+    kind: str,
+    base_seeds: Any,
+    channel_count: int,
     width: int,
-    offset: int = 0,
-) -> Optional["np.ndarray[Any, Any]"]:
-    """One-shot :class:`PackedSobolSource` window (``None`` = fall back).
+    values: Any,
+    length: int,
+    packed: bool,
+) -> Any:
+    """The resumable comparator stream source of one randomizer bank.
 
-    Returns the ``(B, C, ceil(length / 64))`` uint64 words that
-    ``pack_bits(van_der_corput(offsets[..., None] + offset +
-    arange(length), width) < values[..., None])`` would produce, or
-    ``None`` when the packed fast path does not apply.
+    One bank is ``channel_count`` SNG channels per evaluation row: row
+    ``b``, channel ``c`` is the stream the scalar path's
+    ``make_independent_sngs(channel_count, kind,
+    base_seed=base_seeds[b])[c]`` emits for ``values[b, c]`` (*values*
+    broadcasts to ``(B, channel_count)``) over a *length*-clock
+    evaluation.  ``take(offset, count)`` returns clocks ``[offset,
+    offset + count)``: ``(B, C, count)`` uint8 bits, or with *packed*
+    ``(B, C, ceil(count / 64))`` uint64 words, bit-for-bit
+    ``pack_bits`` of the bits.  The one-shot engine takes ``(0,
+    length)`` once; the chunked runtime takes consecutive tiles, which
+    stitch to the same stream.
+
+    Packed LFSR and Sobol banks read words off their cached cycles
+    (:class:`PackedLfsrSource`, :class:`PackedSobolSource`); counter
+    banks window the deterministic matrix; every other case compares
+    explicit uniforms (:class:`_ComparatorSource`).
     """
-    source = PackedSobolSource.create(offsets, values, width)
-    if source is None:
-        return None
-    return source.take(offset, length)
+    seeds = np.atleast_1d(np.asarray(base_seeds, dtype=np.int64))
+    if kind == "counter":
+        return _CounterSource(
+            values, (seeds.size, int(channel_count)), length, packed
+        )
+    source: Optional[_PackedCycleSource] = None
+    if kind == "lfsr":
+        stream_seeds = derive_lfsr_seeds(seeds, channel_count, width)
+        if packed:
+            source = PackedLfsrSource.create(stream_seeds, values, width)
+    elif kind == "sobol":
+        stream_seeds = derive_sobol_offsets(seeds, channel_count)
+        if packed:
+            source = PackedSobolSource.create(stream_seeds, values, width)
+    elif kind == "chaotic":
+        stream_seeds = derive_chaotic_intensities(seeds, channel_count)
+    else:
+        raise ConfigurationError(f"unknown SNG kind {kind!r}")
+    if source is not None:
+        return source
+    return _ComparatorSource(kind, stream_seeds, width, values, packed)
 
 
 # -- packed statistics (chunked streaming) -------------------------------------
@@ -1034,7 +966,6 @@ def packed_tile_statistics(
     length: int,
     noise_a: Optional["np.ndarray[Any, Any]"] = None,
     histogram_edges: Optional["np.ndarray[Any, Any]"] = None,
-    kernel: str = "packed",
     fault_channel: Optional[Any] = None,
     clock_offset: int = 0,
 ) -> Tuple[
@@ -1081,9 +1012,7 @@ def packed_tile_statistics(
             out_words = _mux_words(coeff_words, level_planes, context.order)
             ideal_words = out_words
         else:
-            keys = _packed_keys(
-                context, data_words, coeff_words, length, kernel
-            )
+            keys = _packed_keys(context, data_words, coeff_words, length)
             if noise_a is None:
                 decision_bytes = flat["decisions"].take(keys)
             else:
@@ -1095,9 +1024,7 @@ def packed_tile_statistics(
         errors = popcount(observed ^ ideal_words).sum(axis=-1)
         if histogram_edges is not None:
             if keys is None:
-                keys = _packed_keys(
-                    context, data_words, coeff_words, length, kernel
-                )
+                keys = _packed_keys(context, data_words, coeff_words, length)
             key_counts = np.bincount(
                 keys.reshape(-1).astype(np.int64),
                 minlength=flat["powers"].size,
@@ -1112,9 +1039,7 @@ def packed_tile_statistics(
         ones = popcount(out_words).sum(axis=-1)
         errors = np.zeros(ones.shape, dtype=np.int64)
         if histogram_edges is not None:
-            keys = _packed_keys(
-                context, data_words, coeff_words, length, kernel
-            )
+            keys = _packed_keys(context, data_words, coeff_words, length)
             key_counts = np.bincount(
                 keys.reshape(-1).astype(np.int64),
                 minlength=flat["powers"].size,
@@ -1124,7 +1049,7 @@ def packed_tile_statistics(
             )
         return ones, errors, histogram
 
-    keys = _packed_keys(context, data_words, coeff_words, length, kernel)
+    keys = _packed_keys(context, data_words, coeff_words, length)
     if noise_a is None:
         decisions = flat["decisions"].astype(np.int64)
         ideal = flat["ideal"].astype(np.int64)

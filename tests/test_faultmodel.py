@@ -30,7 +30,6 @@ def _planes(probability, clocks):
         _quantized_thresholds(np.full(clocks, probability))
     )
 from repro.simulation.kernels import (
-    numba_available,
     pack_bits,
     popcount,
     unpack_bits,
@@ -79,6 +78,15 @@ class TestFaultSpec:
             FaultSpec(decay_tau_clocks=0)
         with pytest.raises(ConfigurationError):
             FaultSpec(drift_ramp_per_mclock=-0.5)
+
+    def test_flip_rate_below_mask_resolution_is_refused(self):
+        # 5e-6 * 2**16 rounds to a zero threshold: no flip would ever
+        # be injected, so the spec refuses the rate instead.
+        with pytest.raises(ConfigurationError, match="FAULT_PROBABILITY_BITS"):
+            FaultSpec(flip_probability=5e-6)
+        with pytest.raises(ConfigurationError, match="resolution"):
+            FaultSpec(flip_probability=2.0**-17)
+        assert FaultSpec(flip_probability=2.0**-16).needs_seeds
 
     def test_stuck_channel_validated_against_order(self, circuit):
         fault = FaultSpec(stuck_channel=5, stuck_value=1)
@@ -194,15 +202,8 @@ class TestChannelSemantics:
             channel.apply_words(np.zeros((1, 2), dtype=np.uint64), 0, 128)
 
 
-def _parity_kernels():
-    kernels = ["packed"]
-    if numba_available():
-        kernels.append("numba")
-    return kernels
-
-
 class TestParityMatrix:
-    @pytest.mark.parametrize("kernel", _parity_kernels())
+    @pytest.mark.parametrize("kernel", ["packed"])
     @pytest.mark.parametrize("sng_kind", ["lfsr", "counter", "sobol", "chaotic"])
     @pytest.mark.parametrize("noisy", [False, True])
     def test_kernels_bit_identical_under_faults(

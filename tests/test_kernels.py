@@ -16,24 +16,17 @@ from hypothesis import strategies as st
 import repro
 from repro.errors import ConfigurationError
 from repro.simulation import kernels
-from repro.simulation.engine import (
-    _batch_uniforms,
-    derive_seed_schedule,
-    simulate_batch,
-)
+from repro.simulation.engine import derive_seed_schedule, simulate_batch
 from repro.simulation.kernels import (
     KERNELS,
-    PackedChaoticSource,
     PackedLfsrSource,
     PackedSobolSource,
-    available_kernels,
     kernel_capabilities,
     pack_bits,
-    packed_lfsr_comparator_bits,
-    packed_sobol_comparator_bits,
     pass_context,
     popcount,
     resolve_kernel,
+    stream_source,
     unpack_bits,
 )
 from repro.simulation.runtime import (
@@ -45,8 +38,13 @@ from repro.simulation.runtime import (
 from repro.stochastic.lfsr import lfsr_uniform_windows
 from repro.stochastic.sng import (
     SNG_KINDS,
+    chaotic_orbit,
+    chaotic_warmup,
+    derive_chaotic_intensities,
     derive_lfsr_seeds,
     derive_sobol_offsets,
+    make_independent_sngs,
+    van_der_corput,
 )
 
 BATCH_FIELDS = (
@@ -60,13 +58,6 @@ BATCH_FIELDS = (
 )
 
 NON_NUMPY_KERNELS = [k for k in KERNELS if k != "numpy"]
-
-
-def _kernel_or_skip(kernel):
-    """Skip (never fail) the legs whose kernel is unavailable here."""
-    if kernel == "numba":
-        pytest.importorskip("numba")
-    return kernel
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +80,7 @@ def assert_batches_equal(reference, other):
 
 class TestRegistry:
     def test_registry_names(self):
-        assert KERNELS == ("numpy", "packed", "numba")
-        assert set(available_kernels()) <= set(KERNELS)
-        assert "numpy" in available_kernels()
-        assert "packed" in available_kernels()
+        assert KERNELS == ("numpy", "packed")
 
     def test_resolve_unknown_kernel(self):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
@@ -114,10 +102,8 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown kernel"):
             simulate_batch(circuit, [0.5], length=64, kernel="bogus")
 
-    @pytest.mark.skipif(
-        kernels.numba_available(), reason="numba is installed here"
-    )
     def test_numba_unavailable_fails_at_construction(self):
+        # The removed JIT kernel's name is refused like any unknown one.
         with pytest.raises(ConfigurationError, match="numba"):
             RuntimeConfig(kernel="numba")
 
@@ -173,87 +159,192 @@ class TestPackingPrimitives:
     def test_packed_lfsr_source_matches_unpacked_windows(self, width):
         seeds = derive_lfsr_seeds(np.array([3, 77]), 3, width)
         values = np.array([[0.1, 0.5, 0.9], [0.25, 0.5, 0.75]])
+        source = PackedLfsrSource.create(seeds, values, width)
+        assert source is not None
         for offset, length in ((0, 130), (37, 64), (100, 70001)):
-            words = packed_lfsr_comparator_bits(
-                seeds, values, length, width, offset=offset
-            )
-            assert words is not None
+            words = source.take(offset, length)
             uniforms = lfsr_uniform_windows(seeds, length, width, offset=offset)
             expected = (uniforms < values[..., None]).astype(np.uint8)
             assert np.array_equal(unpack_bits(words, length), expected)
 
     def test_packed_lfsr_source_resumes_by_offset(self):
         seeds = derive_lfsr_seeds(np.array([9]), 2, 16)
-        source = PackedLfsrSource.create(seeds, np.array([[0.3, 0.6]]), 16)
+        values = np.array([[0.3, 0.6]])
+        source = PackedLfsrSource.create(seeds, values, 16)
         tiles = [source.take(start, 96) for start in (0, 96, 192)]
         stitched = np.concatenate(
             [unpack_bits(t, 96) for t in tiles], axis=-1
         )
-        one_shot = unpack_bits(
-            packed_lfsr_comparator_bits(
-                seeds, np.array([[0.3, 0.6]]), 288, 16
-            ),
-            288,
-        )
-        assert np.array_equal(stitched, one_shot)
+        one_shot = PackedLfsrSource.create(seeds, values, 16).take(0, 288)
+        assert np.array_equal(stitched, unpack_bits(one_shot, 288))
 
     def test_packed_lfsr_wide_register_falls_back(self):
         seeds = derive_lfsr_seeds(np.array([3]), 2, 24)
         assert (
-            packed_lfsr_comparator_bits(seeds, np.array([[0.5, 0.5]]), 64, 24)
+            PackedLfsrSource.create(seeds, np.array([[0.5, 0.5]]), 24)
             is None
         )
 
 
-class TestPackedWordSources:
-    """Sobol and chaotic SNGs generate packed comparator words directly.
+SOURCE_SEEDS = np.array([3, 77])
+SOURCE_VALUES = np.array([[0.1, 0.5, 0.9], [0.25, 0.5, 0.75]])
+SOURCE_LENGTH = 4096 + 777
+"""Crosses one packing block; the tail is not word-aligned."""
+FAR_OFFSET = 70001
+"""Past the width-16 cycle (65535 clocks), so re-aimed reads wrap it."""
 
-    The contract mirrors :class:`PackedLfsrSource`: every word tensor is
-    bit-for-bit ``pack_bits(uniforms < values)`` of the float reference,
-    with offset resume (index re-aim for Sobol, carried orbit state for
-    chaotic) and clean fallbacks where the packed path does not apply.
+# (kind, width, resumable by offset): widths past the cycle caps (LFSR
+# 22, Sobol 24) take the compare-and-pack fallbacks; chaotic orbits and
+# wide LFSR registers carry state and resume only in sequence.
+STREAM_CASES = [
+    ("lfsr", 5, True),
+    ("lfsr", 16, True),
+    ("lfsr", 22, False),
+    ("sobol", 5, True),
+    ("sobol", 16, True),
+    ("sobol", 24, True),
+    ("chaotic", 16, False),
+    ("counter", 16, True),
+]
+
+
+def _scalar_streams(kind, width, length):
+    """The reference streams of the scalar SNGs, ``(B, C, length)``."""
+    rows = []
+    for seed, values in zip(SOURCE_SEEDS, SOURCE_VALUES):
+        sngs = make_independent_sngs(
+            values.size, kind, width=width, base_seed=int(seed)
+        )
+        rows.append(
+            [sng.generate(float(v), length).bits for sng, v in zip(sngs, values)]
+        )
+    return np.asarray(rows, dtype=np.uint8)
+
+
+class TestStreamSourceContract:
+    """One contract for every randomizer bank the engine and runtime use.
+
+    ``stream_source(...).take(0, L)`` is bit-for-bit the scalar SNGs'
+    streams (packed: ``pack_bits`` of them), and misaligned sequential
+    tiles stitch to that one-shot window — for every kind, both layouts
+    and the widths that fall back past the cycle caps.
+    """
+
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize(
+        "kind,width,reaim",
+        STREAM_CASES,
+        ids=[f"{kind}-{width}" for kind, width, _ in STREAM_CASES],
+    )
+    def test_stream_source_contract(self, kind, width, reaim, packed):
+        def source(length):
+            return stream_source(
+                kind, SOURCE_SEEDS, 3, width, SOURCE_VALUES, length, packed
+            )
+
+        def bits(out, count):
+            if packed:
+                assert out.dtype == np.uint64
+                assert out.shape == (2, 3, (count + 63) // 64)
+                return unpack_bits(out, count)
+            assert out.dtype == np.uint8
+            return np.asarray(out)
+
+        length = SOURCE_LENGTH
+        reference = _scalar_streams(kind, width, length)
+        one_shot = source(length).take(0, length)
+        expected = pack_bits(reference) if packed else reference
+        assert np.array_equal(one_shot, expected)
+
+        tiled = source(length)
+        windows = ((0, 96), (96, 37), (133, length - 133))
+        stitched = np.concatenate(
+            [bits(tiled.take(start, count), count) for start, count in windows],
+            axis=-1,
+        )
+        assert np.array_equal(stitched, reference)
+
+        if not reaim:
+            with pytest.raises(ConfigurationError, match="sequential"):
+                source(length).take(96, 37)
+            return
+        total = FAR_OFFSET + 300
+        full = bits(source(total).take(0, total), total)
+        far = bits(source(total).take(FAR_OFFSET, 300), 300)
+        assert np.array_equal(far, full[..., FAR_OFFSET:])
+
+
+class TestPackedWordSources:
+    """The packed word sources against their float references.
+
+    Every word tensor is bit-for-bit ``pack_bits(uniforms < values)``
+    of the uniforms the unpacked path draws, with offset resume (index
+    re-aim for LFSR and Sobol, carried orbit state for chaotic) and
+    clean fallbacks where the packed path does not apply.
     """
 
     @pytest.mark.parametrize("width", [5, 8, 16])
     def test_packed_sobol_matches_unpacked_uniforms(self, width):
-        base_seeds = np.array([3, 77])
         values = np.array([[0.1, 0.5, 0.9], [0.25, 0.5, 0.75]])
-        offsets = derive_sobol_offsets(base_seeds, 3)
+        offsets = derive_sobol_offsets(np.array([3, 77]), 3)
+        source = PackedSobolSource.create(offsets, values, width)
+        assert source is not None
         for offset, length in ((0, 130), (37, 64), (100, 70001)):
-            words = packed_sobol_comparator_bits(
-                offsets, values, length, width, offset=offset
-            )
-            assert words is not None
-            uniforms = _batch_uniforms(
-                "sobol", base_seeds, 3, length, width, offset=offset
+            words = source.take(offset, length)
+            uniforms = van_der_corput(
+                offsets[..., None] + offset + np.arange(length), width
             )
             expected = (uniforms < values[..., None]).astype(np.uint8)
             assert np.array_equal(unpack_bits(words, length), expected)
 
     def test_packed_sobol_resumes_by_offset(self):
         offsets = derive_sobol_offsets(np.array([9]), 2)
-        source = PackedSobolSource.create(
-            offsets, np.array([[0.3, 0.6]]), 16
-        )
+        values = np.array([[0.3, 0.6]])
+        source = PackedSobolSource.create(offsets, values, 16)
         assert source is not None
         tiles = [source.take(start, 96) for start in (0, 96, 192)]
         stitched = np.concatenate(
             [unpack_bits(t, 96) for t in tiles], axis=-1
         )
-        one_shot = unpack_bits(
-            packed_sobol_comparator_bits(
-                offsets, np.array([[0.3, 0.6]]), 288, 16
-            ),
-            288,
+        one_shot = PackedSobolSource.create(offsets, values, 16).take(0, 288)
+        assert np.array_equal(stitched, unpack_bits(one_shot, 288))
+
+    @pytest.mark.parametrize("length", [64, 96, 250, 8192 + 777])
+    def test_packed_chaotic_matches_unpacked_orbit(self, length):
+        # Lengths straddle the packing block (4096 clocks) and
+        # non-multiple-of-64 tails.
+        base_seeds = np.array([3, 77])
+        values = np.array([[0.1, 0.5, 0.9], [0.25, 0.5, 0.75]])
+        source = stream_source(
+            "chaotic", base_seeds, 3, 16, values, length, True
         )
-        assert np.array_equal(stitched, one_shot)
+        words = source.take(0, length)
+        warmups = np.array([[chaotic_warmup(c) for c in range(3)]])
+        uniforms = chaotic_orbit(
+            derive_chaotic_intensities(base_seeds, 3), warmups, length
+        )
+        expected = (uniforms < values[..., None]).astype(np.uint8)
+        assert np.array_equal(unpack_bits(words, length), expected)
+
+    def test_packed_chaotic_sequential_resume_is_exact(self):
+        def source():
+            return stream_source(
+                "chaotic", np.array([5]), 2, 16, np.array([[0.4, 0.7]]),
+                288, True,
+            )
+
+        tiled = source()
+        tiles = [tiled.take(start, 96) for start in (0, 96, 192)]
+        stitched = np.concatenate(
+            [unpack_bits(t, 96) for t in tiles], axis=-1
+        )
+        one_shot = source().take(0, 288)
+        assert np.array_equal(stitched, unpack_bits(one_shot, 288))
 
     def test_packed_sobol_wide_width_falls_back(self):
         offsets = derive_sobol_offsets(np.array([3]), 2)
         assert (
-            packed_sobol_comparator_bits(
-                offsets, np.array([[0.5, 0.5]]), 64, 24
-            )
+            PackedSobolSource.create(offsets, np.array([[0.5, 0.5]]), 24)
             is None
         )
 
@@ -263,31 +354,10 @@ class TestPackedWordSources:
                 np.array([[-1, 2]]), np.array([[0.5, 0.5]]), 8
             )
 
-    @pytest.mark.parametrize("length", [64, 96, 250, 8192 + 777])
-    def test_packed_chaotic_matches_unpacked_orbit(self, length):
-        # Lengths straddle the internal packing block (4096 clocks) and
-        # non-multiple-of-64 tails.
-        base_seeds = np.array([3, 77])
-        values = np.array([[0.1, 0.5, 0.9], [0.25, 0.5, 0.75]])
-        source = PackedChaoticSource(base_seeds, values, 3)
-        words = source.take(0, length)
-        uniforms = _batch_uniforms("chaotic", base_seeds, 3, length, 16)
-        expected = (uniforms < values[..., None]).astype(np.uint8)
-        assert np.array_equal(unpack_bits(words, length), expected)
-
-    def test_packed_chaotic_sequential_resume_is_exact(self):
-        base_seeds = np.array([5])
-        values = np.array([[0.4, 0.7]])
-        source = PackedChaoticSource(base_seeds, values, 2)
-        tiles = [source.take(start, 96) for start in (0, 96, 192)]
-        stitched = np.concatenate(
-            [unpack_bits(t, 96) for t in tiles], axis=-1
-        )
-        one_shot = PackedChaoticSource(base_seeds, values, 2).take(0, 288)
-        assert np.array_equal(stitched, unpack_bits(one_shot, 288))
-
     def test_packed_chaotic_rejects_non_sequential_resume(self):
-        source = PackedChaoticSource(np.array([5]), np.array([[0.5]]), 1)
+        source = stream_source(
+            "chaotic", np.array([5]), 1, 16, np.array([[0.5]]), 256, True
+        )
         source.take(0, 64)
         with pytest.raises(ConfigurationError, match="sequential"):
             source.take(0, 64)
@@ -357,7 +427,6 @@ class TestKernelParity:
     @pytest.mark.parametrize("sng_kind", SNG_KINDS)
     @pytest.mark.parametrize("noisy", [True, False])
     def test_one_shot_parity_schedule(self, circuit, kernel, sng_kind, noisy):
-        _kernel_or_skip(kernel)
         xs = np.linspace(0, 1, 6)
         # 300 is neither a multiple of 64 nor below one word.
         schedule = derive_seed_schedule(
@@ -385,7 +454,6 @@ class TestKernelParity:
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     @pytest.mark.parametrize("length", [40, 64, 65, 128, 1000])
     def test_one_shot_parity_tails(self, circuit, kernel, length):
-        _kernel_or_skip(kernel)
         xs = np.linspace(0, 1, 5)
         schedule = derive_seed_schedule(xs.size, np.random.default_rng(7))
         reference = simulate_batch(
@@ -401,7 +469,6 @@ class TestKernelParity:
     def test_one_shot_parity_rng_protocol(self, circuit, kernel, sng_kind):
         # Without a schedule the engine consumes the caller's rng; the
         # kernels must not perturb that consumption order.
-        _kernel_or_skip(kernel)
         xs = np.linspace(0, 1, 4)
         reference = simulate_batch(
             circuit,
@@ -425,7 +492,6 @@ class TestKernelParity:
     def test_one_shot_parity_base_seed_and_width(
         self, circuit, kernel, sng_width
     ):
-        _kernel_or_skip(kernel)
         xs = np.linspace(0, 1, 4)
         reference = simulate_batch(
             circuit, xs, length=500, base_seed=42, sng_width=sng_width
@@ -446,7 +512,6 @@ class TestRuntimeComposition:
     @pytest.mark.parametrize("sng_kind", SNG_KINDS)
     @pytest.mark.parametrize("noisy", [True, False])
     def test_chunked_statistics_parity(self, circuit, kernel, sng_kind, noisy):
-        _kernel_or_skip(kernel)
         xs = np.linspace(0.05, 0.95, 4)
         schedule = derive_seed_schedule(
             xs.size, np.random.default_rng(31), sng_kind=sng_kind
@@ -497,7 +562,6 @@ class TestRuntimeComposition:
 
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     def test_sharded_parity(self, circuit, kernel):
-        _kernel_or_skip(kernel)
         xs = np.linspace(0, 1, 8)
         schedule = derive_seed_schedule(xs.size, np.random.default_rng(5))
         serial = simulate_batch(circuit, xs, length=400, schedule=schedule)
@@ -514,7 +578,6 @@ class TestRuntimeComposition:
 
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     def test_run_batch_strategy_never_changes_bits(self, circuit, kernel):
-        _kernel_or_skip(kernel)
         xs = np.linspace(0, 1, 6)
         reference = run_batch(
             circuit, xs, length=512, base_seed=9, config=RuntimeConfig()
@@ -578,7 +641,6 @@ class TestRuntimeComposition:
 class TestSessionAndServing:
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     def test_evaluator_kernel_parity(self, circuit, kernel):
-        _kernel_or_skip(kernel)
         spec = repro.EvalSpec(length=256, base_seed=11, noisy=False)
         reference = repro.Evaluator(circuit, spec)
         other = reference.with_kernel(kernel)
@@ -611,29 +673,3 @@ class TestSessionAndServing:
             )
         )
         assert reference == packed
-
-
-@pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not installed (clean skip)"
-)
-class TestNumbaKernel:
-    def test_numba_listed_available(self):
-        assert "numba" in available_kernels()
-        assert kernel_capabilities()["numba"]["available"] is True
-
-    def test_numba_chunked_parity(self, circuit):
-        xs = np.linspace(0, 1, 4)
-        schedule = derive_seed_schedule(xs.size, np.random.default_rng(2))
-        reference = simulate_chunked(
-            circuit, xs, length=500, chunk_length=100, schedule=schedule,
-            workers=0,
-        )
-        numba_run = simulate_chunked(
-            circuit, xs, length=500, chunk_length=100, schedule=schedule,
-            workers=0, kernel="numba",
-        )
-        assert np.array_equal(reference.ones_count, numba_run.ones_count)
-        assert np.array_equal(
-            reference.transmission_bit_errors,
-            numba_run.transmission_bit_errors,
-        )

@@ -415,6 +415,49 @@ class TestDeadlines:
         metrics = asyncio.run(scenario())
         assert metrics.expired == 1
 
+    def test_slow_first_batch_does_not_lock_the_server_out(self, evaluator):
+        # A cold first batch (1 s) measures an estimate above every
+        # request's 0.5 s budget; later batches take 0.01 s.  An idle
+        # server refuses once, then admits a probe whose batch
+        # re-measures the estimate, until the estimate fits the budget.
+        clock = ManualClock()
+        session = Evaluator(
+            evaluator.circuit, evaluator.spec, evaluator.runtime
+        )
+        real_evaluate = session.evaluate
+        calls = {"total": 0}
+
+        def cold_then_fast(xs):
+            calls["total"] += 1
+            clock.advance(1.0 if calls["total"] == 1 else 0.01)
+            return real_evaluate(xs)
+
+        session.evaluate = cold_then_fast
+
+        async def scenario():
+            async with BatchServer(
+                session,
+                max_batch_delay_s=0.0,
+                default_deadline_s=0.5,
+                clock=clock,
+            ) as server:
+                await server.submit(0.5, deadline_s=10.0)  # the cold batch
+                outcomes = []
+                for _ in range(12):
+                    try:
+                        await server.submit(0.5)
+                        outcomes.append("served")
+                    except DeadlineExceededError:
+                        outcomes.append("refused")
+                return outcomes, server.metrics()
+
+        outcomes, metrics = asyncio.run(scenario())
+        # EWMA 1.0 -> 0.802 -> 0.644 -> 0.517 -> 0.416: four probes.
+        assert outcomes == ["refused", "served"] * 4 + ["served"] * 4
+        assert metrics.served == 1 + 8
+        assert metrics.expired == 4
+        assert calls["total"] == 9
+
     def test_invalid_deadline_rejected(self, evaluator):
         async def scenario():
             async with BatchServer(evaluator) as server:
