@@ -21,7 +21,9 @@ the unchanged ``simulate_batch`` signature:
     streaming runtime) accumulate ones/bit-error counts straight from
     packed words via popcount (:func:`popcount` —
     ``np.bitwise_count`` when the numpy build has it, a 16-bit LUT
-    otherwise).
+    otherwise), noisy tiles included: receiver noise is screened
+    (:func:`screen_noise`) and only the rare clocks whose draw can
+    cross the threshold are decided one by one.
 
 The packed kernel is **bit-for-bit identical** to ``"numpy"`` for all
 four SNG kinds, noisy and noiseless (enforced by ``tests/test_kernels.py``
@@ -45,7 +47,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -79,6 +81,8 @@ __all__ = [
     "clear_pass_context_cache",
     "optical_pass",
     "packed_optical_pass",
+    "NoiseCandidates",
+    "screen_noise",
     "PackedLfsrSource",
     "PackedSobolSource",
     "stream_source",
@@ -134,8 +138,8 @@ def kernel_capabilities() -> Dict[str, Dict[str, Any]]:
             "bit_tensor_bytes_per_bit": 1.0 / 8.0,
             "description": (
                 "dependency-free uint64 bit-plane engine: 8x smaller bit "
-                "tensors; wins on long noiseless streams (the LFSR hot "
-                "path runs on words, not bytes)"
+                "tensors; wins on long streams, noisy or not (the LFSR "
+                "hot path runs on words, not bytes)"
             ),
         },
     }
@@ -311,9 +315,57 @@ class CircuitPassContext:
                 # verified numerically here so the word-level statistics
                 # fast path never has to assume it.
                 "decision_is_ideal": bool(np.array_equal(decisions, ideal)),
+                "noise_screen_a": _noise_screen(
+                    currents, self.receiver.threshold_a
+                ),
             }
             self._flat = flat
         return flat
+
+    @property
+    def noise_screen_a(self) -> float:
+        """Largest |noise| (A) that provably leaves every decision as is.
+
+        Receiver noise with ``|n| <= noise_screen_a`` decides exactly as
+        the noiseless receiver for every key, so only draws past the
+        screen need the per-clock threshold test (:func:`screen_noise`).
+        """
+        return float(self._flat_tables()["noise_screen_a"])
+
+
+_SCREEN_GUARD = 1e-9
+"""Relative shrink of the smallest key margin that yields the noise screen."""
+
+
+def _noise_screen(
+    currents: "np.ndarray[Any, Any]", threshold_a: float
+) -> float:
+    """The noise screen of a flat current table, exact in float64.
+
+    Let ``m = min_key |theta - I_key|`` and ``s = m (1 - g)`` with the
+    guard ``g = 1e-9``.  For any ``|n| <= s`` the float64 decision
+    ``I_key + n > theta`` equals the noiseless ``I_key > theta``:
+
+    * ``I_key < theta``: the real sum is at most ``theta - g m <
+      theta``; round-to-nearest is monotone and ``theta`` is a float,
+      so the rounded sum is ``<= theta`` and the strict test stays 0.
+    * ``I_key > theta``: the real sum is at least ``theta + g m``
+      (less the ``~2**-53 m`` the float margin and ``s`` may be off by),
+      so whenever ``g m`` exceeds half the float spacing at ``theta``
+      it rounds above ``theta`` and the test stays 1.
+    * ``I_key == theta``: ``m = 0``, the screen is 0 and every non-zero
+      draw is evaluated exactly.
+
+    At the paper's BER 1e-6 point (order 2, 1 nm grid) the guard is
+    ``g m ~ 4e-14`` A against a float spacing of ``~7e-21`` A at
+    ``theta``.  A design whose guard does not dominate the spacing gets
+    screen 0: every draw is then decided exactly.
+    """
+    margin = float(np.min(np.abs(currents - threshold_a)))
+    guard = margin * _SCREEN_GUARD
+    if guard <= 2.0 * float(np.spacing(threshold_a)):
+        return 0.0
+    return margin - guard
 
 
 _CONTEXT_CACHE: "OrderedDict[Tuple[Any, Any], CircuitPassContext]" = (
@@ -465,17 +517,23 @@ def _assemble_keys(
 
 def _key_planes(
     context: CircuitPassContext,
-    data_words: "np.ndarray[Any, Any]",
     coeff_words: "np.ndarray[Any, Any]",
+    level_planes: List["np.ndarray[Any, Any]"],
 ) -> List["np.ndarray[Any, Any]"]:
     """Bit planes of the flat lookup key: coefficient bits then level."""
     planes = [
         coeff_words[:, channel, :]
         for channel in range(context.channel_count)
     ]
-    level_planes = _bit_plane_sum(data_words)
-    planes.extend(level_planes[: context.level_bits])
+    planes.extend(level_planes)
     return planes
+
+
+def _level_planes(
+    context: CircuitPassContext, data_words: "np.ndarray[Any, Any]"
+) -> List["np.ndarray[Any, Any]"]:
+    """The adder level's bit planes, truncated to the level range."""
+    return _bit_plane_sum(data_words)[: context.level_bits]
 
 
 def _packed_keys(
@@ -485,8 +543,90 @@ def _packed_keys(
     length: int,
 ) -> "np.ndarray[Any, Any]":
     flat = context._flat_tables()
-    planes = _key_planes(context, data_words, coeff_words)
+    planes = _key_planes(
+        context, coeff_words, _level_planes(context, data_words)
+    )
     return _assemble_keys(planes, length, flat["key_dtype"])
+
+
+class NoiseCandidates(NamedTuple):
+    """Screened receiver noise of one tile (see :func:`screen_noise`).
+
+    The clocks whose draw exceeds the pass context's noise screen, as
+    parallel ``(row, clock, noise)`` arrays in row-major clock order;
+    every other clock of the tile decides exactly as the noiseless
+    receiver.
+    """
+
+    rows: "np.ndarray[Any, Any]"
+    clocks: "np.ndarray[Any, Any]"
+    noise_a: "np.ndarray[Any, Any]"
+
+
+def screen_noise(
+    context: CircuitPassContext, row_draws: Iterable[Any]
+) -> NoiseCandidates:
+    """Screen a tile's receiver-noise draws down to its candidate clocks.
+
+    *row_draws* yields one row's 1-D draw at a time — the rows of a
+    ``(B, L)`` noise array, or a generator drawing each row on demand,
+    so a row is screened as soon as it is drawn and no ``(B, L)`` noise
+    tile need exist.  A draw is a candidate when ``|n| >
+    context.noise_screen_a``; at the paper's BER 1e-6 point that is
+    about 2 clocks per million.
+    """
+    screen = context.noise_screen_a
+    rows: List["np.ndarray[Any, Any]"] = []
+    clocks: List["np.ndarray[Any, Any]"] = []
+    values: List["np.ndarray[Any, Any]"] = []
+    for row, draw in enumerate(row_draws):
+        # Two reductions settle the common row with no candidate.
+        if draw.max() <= screen and draw.min() >= -screen:
+            continue
+        hits = np.flatnonzero(np.abs(draw) > screen)
+        rows.append(np.full(hits.size, row, dtype=np.int64))
+        clocks.append(hits)
+        values.append(draw[hits])
+    if not rows:
+        empty = np.zeros(0, dtype=np.int64)
+        return NoiseCandidates(empty, empty, np.zeros(0, dtype=float))
+    return NoiseCandidates(
+        np.concatenate(rows), np.concatenate(clocks), np.concatenate(values)
+    )
+
+
+def _screened_decisions(
+    context: CircuitPassContext,
+    keys: "np.ndarray[Any, Any]",
+    noise_a: "np.ndarray[Any, Any]",
+) -> "np.ndarray[Any, Any]":
+    """Exact receiver decisions of the screened candidate clocks.
+
+    The single definition of the packed noisy decision rule, shared by
+    the full-output pass and the chunked statistics accumulator.  It
+    is bit-for-bit the numpy kernel's ``decide_batch`` — the same
+    flat-gathered photocurrent plus the same noise draw against the
+    same strict ``>`` threshold — evaluated only where
+    :func:`screen_noise` found a draw that can cross the threshold.
+    """
+    flat = context._flat_tables()
+    currents = flat["currents"].take(keys) + noise_a
+    return (currents > context.receiver.threshold_a).astype(np.uint8)
+
+
+def _keys_at(
+    planes: List["np.ndarray[Any, Any]"],
+    rows: "np.ndarray[Any, Any]",
+    clocks: "np.ndarray[Any, Any]",
+) -> "np.ndarray[Any, Any]":
+    """Flat lookup keys of single ``(row, clock)`` positions of key planes."""
+    words = clocks >> 6
+    shifts = (clocks & 63).astype(np.uint64)
+    keys = np.zeros(rows.size, dtype=np.int64)
+    for index, plane in enumerate(planes):
+        bits = (plane[rows, words] >> shifts) & np.uint64(1)
+        keys |= bits.astype(np.int64) << index
+    return keys
 
 
 def packed_optical_pass(
@@ -508,54 +648,28 @@ def packed_optical_pass(
     as the numpy pass, bit-for-bit: per-clock keys are assembled from
     the coefficient and bit-sliced level planes, and every observable is
     a flat-table gather of exactly the values the numpy kernel computes.
+    Under receiver noise the output is the noiseless decision gather,
+    patched at the clocks :func:`screen_noise` keeps.
     """
     context = pass_context(circuit)
     flat = context._flat_tables()
     keys = _packed_keys(context, data_words, coeff_words, length)
     powers = flat["powers"].take(keys)
     levels = (keys >> np.uint8(context.channel_count)).astype(np.int64)
-    if noise_a is None:
-        output_bits = flat["decisions"].take(keys)
-    else:
-        output_bits = _noisy_decisions(context, flat, keys, noise_a)
+    output_bits = flat["decisions"].take(keys)
+    if noise_a is not None:
+        noise = np.asarray(noise_a, dtype=float)
+        if noise.shape != keys.shape:
+            raise ConfigurationError(
+                f"noise_a shape {noise.shape} must match powers shape "
+                f"{keys.shape}"
+            )
+        rows, clocks, values = screen_noise(context, noise)
+        output_bits[rows, clocks] = _screened_decisions(
+            context, keys[rows, clocks], values
+        )
     ideal_bits = flat["ideal"].take(keys)
     return powers, output_bits, ideal_bits, levels
-
-
-def _noisy_decisions(
-    context: CircuitPassContext,
-    flat: Dict[str, Any],
-    keys: "np.ndarray[Any, Any]",
-    noise_a: "np.ndarray[Any, Any]",
-) -> "np.ndarray[Any, Any]":
-    """Receiver decisions under pre-drawn noise, from per-clock keys.
-
-    The single definition of the packed noisy decision rule — shared by
-    the full-output pass and the chunked statistics accumulator so the
-    two can never diverge.  Bit-for-bit the numpy kernel's
-    ``decide_batch``: identical currents (flat-gathered photocurrents
-    plus the same noise draw), identical strict ``>`` threshold.
-    """
-    noise = np.asarray(noise_a, dtype=float)
-    if noise.shape != keys.shape:
-        raise ConfigurationError(
-            f"noise_a shape {noise.shape} must match powers shape "
-            f"{keys.shape}"
-        )
-    currents = flat["currents"].take(keys) + noise
-    return (currents > context.receiver.threshold_a).astype(np.uint8)
-
-
-def _key_counts(
-    keys: "np.ndarray[Any, Any]", size: int
-) -> "np.ndarray[Any, Any]":
-    """Per-row key occurrence counts: ``(B, size)`` int64, one bincount."""
-    batch = keys.shape[0]
-    offsets = np.arange(batch, dtype=np.int64)[:, None] * size
-    return np.bincount(
-        (keys.astype(np.int64) + offsets).reshape(-1),
-        minlength=batch * size,
-    ).reshape(batch, size)
 
 
 # -- comparator stream sources -------------------------------------------------
@@ -964,7 +1078,7 @@ def packed_tile_statistics(
     data_words: "np.ndarray[Any, Any]",
     coeff_words: "np.ndarray[Any, Any]",
     length: int,
-    noise_a: Optional["np.ndarray[Any, Any]"] = None,
+    noise: Optional[NoiseCandidates] = None,
     histogram_edges: Optional["np.ndarray[Any, Any]"] = None,
     fault_channel: Optional[Any] = None,
     clock_offset: int = 0,
@@ -980,95 +1094,67 @@ def packed_tile_statistics(
     straight from packed words, bit-exact with running the numpy pass on
     the unpacked tile and summing.
 
-    * Noiseless, with the (verified) separated-band property that the
-      threshold decision equals the multiplexer bit: the output stream
-      is a word-level mux of the coefficient words by the bit-sliced
-      level — ones come from :func:`popcount`, errors are exactly zero,
-      and no per-clock byte array exists at all (keys are only
-      assembled when the histogram is requested).
-    * Otherwise (receiver noise, or an exotic detector whose decisions
-      diverge from the mux): per-clock keys are assembled and the same
-      flat tables as :func:`packed_optical_pass` resolve the decisions.
+    * The noiseless output stream is built as words.  With the
+      (verified) separated-band property that the threshold decision
+      equals the multiplexer bit, it is a word-level mux of the
+      coefficient words by the bit-sliced level, and no per-clock byte
+      array exists at all (keys are only assembled when the histogram
+      is requested).  An exotic detector whose decisions diverge from
+      the mux packs the flat-table decisions of per-clock keys instead.
+    * Receiver *noise* arrives screened (:func:`screen_noise`): only
+      the candidate clocks whose draw can cross the threshold.  Their
+      keys are read off the coefficient and level planes, the exact
+      decision rule (:func:`_screened_decisions`) settles them, and the
+      ones that differ from the noiseless decision are XOR'd into the
+      output words — every other clock decides exactly as noiseless.
 
-    With *fault_channel* (a
+    Ones are popcounts of the output words and errors popcounts of
+    output XOR ideal, so with the mux property the errors are exactly
+    the noise flips.  With *fault_channel* (a
     :class:`~repro.simulation.faultmodel.PackedFaultChannel`) the
-    observed output words are transformed in place of the clean stream
-    before counting — *clock_offset* is the tile's absolute stream
-    clock, so trajectory faults and the desynchronization carry resume
-    exactly across tiles.  Errors then count observed-vs-ideal bits
-    word-level (popcounts of the XOR), still with no per-clock float
-    tensor; the power histogram keeps binning the *optical* powers,
-    which receiver-side channel faults do not touch.
+    output words are transformed before counting — *clock_offset* is
+    the tile's absolute stream clock, so trajectory faults and the
+    desynchronization carry resume exactly across tiles.  The power
+    histogram bins the *optical* powers, which receiver noise and
+    receiver-side channel faults do not touch.
     """
     context = pass_context(circuit)
     flat = context._flat_tables()
-    ones: "np.ndarray[Any, Any]"
-    errors: "np.ndarray[Any, Any]"
-    histogram: Optional["np.ndarray[Any, Any]"] = None
-    if fault_channel is not None:
-        keys: Optional["np.ndarray[Any, Any]"] = None
-        if noise_a is None and flat["decision_is_ideal"]:
-            level_planes = _bit_plane_sum(data_words)[: context.level_bits]
-            out_words = _mux_words(coeff_words, level_planes, context.order)
-            ideal_words = out_words
-        else:
-            keys = _packed_keys(context, data_words, coeff_words, length)
-            if noise_a is None:
-                decision_bytes = flat["decisions"].take(keys)
-            else:
-                decision_bytes = _noisy_decisions(context, flat, keys, noise_a)
-            out_words = pack_bits(decision_bytes)
-            ideal_words = pack_bits(flat["ideal"].take(keys))
-        observed = fault_channel.apply_words(out_words, clock_offset, length)
-        ones = popcount(observed).sum(axis=-1)
-        errors = popcount(observed ^ ideal_words).sum(axis=-1)
-        if histogram_edges is not None:
-            if keys is None:
-                keys = _packed_keys(context, data_words, coeff_words, length)
-            key_counts = np.bincount(
-                keys.reshape(-1).astype(np.int64),
-                minlength=flat["powers"].size,
-            )
-            histogram = _histogram_from_key_counts(
-                flat["powers"], key_counts, histogram_edges
-            )
-        return ones, errors, histogram
-    if noise_a is None and flat["decision_is_ideal"]:
-        level_planes = _bit_plane_sum(data_words)[: context.level_bits]
+    level_planes = _level_planes(context, data_words)
+    planes = _key_planes(context, coeff_words, level_planes)
+    keys: Optional["np.ndarray[Any, Any]"] = None
+    if flat["decision_is_ideal"]:
         out_words = _mux_words(coeff_words, level_planes, context.order)
-        ones = popcount(out_words).sum(axis=-1)
-        errors = np.zeros(ones.shape, dtype=np.int64)
-        if histogram_edges is not None:
-            keys = _packed_keys(context, data_words, coeff_words, length)
-            key_counts = np.bincount(
-                keys.reshape(-1).astype(np.int64),
-                minlength=flat["powers"].size,
+        ideal_words = out_words
+    else:
+        keys = _assemble_keys(planes, length, flat["key_dtype"])
+        out_words = pack_bits(flat["decisions"].take(keys))
+        ideal_words = pack_bits(flat["ideal"].take(keys))
+    if noise is not None and noise.rows.size:
+        candidate_keys = _keys_at(planes, noise.rows, noise.clocks)
+        flipped = np.flatnonzero(
+            _screened_decisions(context, candidate_keys, noise.noise_a)
+            != flat["decisions"].take(candidate_keys)
+        )
+        if flipped.size:
+            clocks = noise.clocks[flipped]
+            out_words = out_words.copy()
+            np.bitwise_xor.at(
+                out_words,
+                (noise.rows[flipped], clocks >> 6),
+                np.uint64(1) << (clocks & 63).astype(np.uint64),
             )
-            histogram = _histogram_from_key_counts(
-                flat["powers"], key_counts, histogram_edges
-            )
-        return ones, errors, histogram
-
-    keys = _packed_keys(context, data_words, coeff_words, length)
-    if noise_a is None:
-        decisions = flat["decisions"].astype(np.int64)
-        ideal = flat["ideal"].astype(np.int64)
-        key_counts = _key_counts(keys, flat["powers"].size)
-        ones = key_counts @ decisions
-        errors = key_counts @ np.not_equal(decisions, ideal).astype(np.int64)
-        if histogram_edges is not None:
-            histogram = _histogram_from_key_counts(
-                flat["powers"], key_counts.sum(axis=0), histogram_edges
-            )
-        return ones, errors, histogram
-
-    output_bits = _noisy_decisions(context, flat, keys, noise_a)
-    ideal_bits = flat["ideal"].take(keys)
-    ones = output_bits.sum(axis=1, dtype=np.int64)
-    errors = np.sum(output_bits != ideal_bits, axis=1, dtype=np.int64)
+    if fault_channel is not None:
+        out_words = fault_channel.apply_words(out_words, clock_offset, length)
+    ones = popcount(out_words).sum(axis=-1)
+    errors = popcount(out_words ^ ideal_words).sum(axis=-1)
+    histogram: Optional["np.ndarray[Any, Any]"] = None
     if histogram_edges is not None:
+        if keys is None:
+            keys = _assemble_keys(planes, length, flat["key_dtype"])
         key_counts = np.bincount(
-            keys.reshape(-1).astype(np.int64), minlength=flat["powers"].size
+            keys.reshape(-1).astype(np.int64),
+            minlength=flat["powers"].size,
         )
         histogram = _histogram_from_key_counts(
             flat["powers"], key_counts, histogram_edges

@@ -77,7 +77,9 @@ from .kernels import (
     optical_pass,
     pack_bits,
     packed_tile_statistics,
+    pass_context,
     resolve_kernel,
+    screen_noise,
     stream_source,
     unpack_bits,
 )
@@ -867,8 +869,11 @@ def simulate_chunked(
     evaluated on 64-clock uint64 words: the ones/bit-error accumulators
     come from popcounts and per-key counts instead of per-clock byte
     tensors (:func:`repro.simulation.kernels.packed_tile_statistics`),
-    and on the noiseless LFSR path no per-clock array is materialized
-    at all.  The accumulated statistics stay bit-exact with the numpy
+    and on the LFSR path no per-clock array is materialized at all
+    besides each row's noise draw, which is screened as soon as it is
+    drawn (:func:`repro.simulation.kernels.screen_noise`) so only the
+    rare clocks whose noise can cross the threshold are decided one by
+    one.  The accumulated statistics stay bit-exact with the numpy
     kernel's.
 
     *fault* injects a :class:`~repro.simulation.faultmodel.FaultSpec`
@@ -989,12 +994,11 @@ def simulate_chunked(
         count = min(chunk_length, length - start)
         data_streams = pin_stuck(data_source.take(start, count), fault, count)
         coeff_streams = coeff_source.take(start, count)
-        noise_a = (
-            np.stack(
-                [gen.normal(0.0, noise_sigma, count) for gen in noise_rngs]
-            )
-            if noise_rngs is not None
-            else None
+        # One draw per row and tile, in row order, on either kernel.
+        draws = (
+            None
+            if noise_rngs is None
+            else (gen.normal(0.0, noise_sigma, count) for gen in noise_rngs)
         )
         if packed:
             ones_inc, error_inc, histogram_inc = packed_tile_statistics(
@@ -1002,7 +1006,11 @@ def simulate_chunked(
                 data_streams,
                 coeff_streams,
                 count,
-                noise_a=noise_a,
+                noise=(
+                    None
+                    if draws is None
+                    else screen_noise(pass_context(circuit), draws)
+                ),
                 histogram_edges=edges if histogram is not None else None,
                 fault_channel=fault_channel,
                 clock_offset=start,
@@ -1013,6 +1021,7 @@ def simulate_chunked(
                 assert histogram_inc is not None
                 histogram += histogram_inc
         else:
+            noise_a = None if draws is None else np.stack(list(draws))
             powers, output_bits, ideal_bits, _ = optical_pass(
                 circuit, data_streams, coeff_streams, noise_a
             )

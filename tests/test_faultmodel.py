@@ -48,6 +48,10 @@ def circuit():
     )
 
 
+LOW_MARGIN = "low_margin"
+"""Noisy on ``low_margin_circuit``, where receiver noise flips decisions."""
+
+
 COMPOSITE = FaultSpec(
     flip_probability=0.05,
     shift_clocks=7,
@@ -205,10 +209,16 @@ class TestChannelSemantics:
 class TestParityMatrix:
     @pytest.mark.parametrize("kernel", ["packed"])
     @pytest.mark.parametrize("sng_kind", ["lfsr", "counter", "sobol", "chaotic"])
-    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize(
+        "noisy", [False, True, pytest.param(LOW_MARGIN, id=LOW_MARGIN)]
+    )
     def test_kernels_bit_identical_under_faults(
-        self, circuit, kernel, sng_kind, noisy
+        self, request, circuit, kernel, sng_kind, noisy
     ):
+        min_bit_errors = 0
+        if noisy == LOW_MARGIN:
+            circuit = request.getfixturevalue("low_margin_circuit")
+            noisy, min_bit_errors = True, 1
         xs = np.linspace(0.0, 1.0, 4)
         reference = run_batch(
             circuit,
@@ -235,6 +245,7 @@ class TestParityMatrix:
             reference.transmission_bit_errors,
             other.transmission_bit_errors,
         )
+        assert reference.transmission_bit_errors.sum() >= min_bit_errors
 
     @pytest.mark.parametrize("kernel", ["numpy", "packed"])
     def test_clean_run_unchanged_by_null_channel(self, circuit, kernel):
@@ -258,6 +269,42 @@ class TestParityMatrix:
 
 
 class TestRelocatability:
+    @pytest.mark.parametrize("chunk_length", [96, 333])
+    @pytest.mark.parametrize("kernel", ["numpy", "packed"])
+    def test_receiver_flips_and_faults_stitch_across_chunks(
+        self, low_margin_circuit, chunk_length, kernel
+    ):
+        """Noise flips compose with flip, shift and stuck faults per tile."""
+        xs = np.linspace(0.0, 1.0, 4)
+        fault = FaultSpec(
+            flip_probability=0.05, shift_clocks=7, stuck_channel=0, stuck_value=1
+        )
+
+        def run(noisy, **config):
+            return run_batch(
+                low_margin_circuit,
+                xs,
+                length=LENGTH,
+                noisy=noisy,
+                base_seed=9,
+                config=RuntimeConfig(**config),
+                fault=fault,
+            )
+
+        one_shot = run(True)
+        chunked = run(True, kernel=kernel, chunk_length=chunk_length)
+        assert np.array_equal(
+            chunked.ones_count, one_shot.output_bits.sum(axis=1)
+        )
+        assert np.array_equal(
+            chunked.transmission_bit_errors,
+            one_shot.transmission_bit_errors,
+        )
+        # Receiver noise changed decisions under the same fault masks.
+        assert not np.array_equal(
+            run(False).output_bits, one_shot.output_bits
+        )
+
     @pytest.mark.parametrize("chunk_length", [64, 100, 333, 999])
     @pytest.mark.parametrize("kernel", ["numpy", "packed"])
     def test_trajectory_faults_stitch_across_chunks(

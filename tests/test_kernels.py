@@ -17,6 +17,7 @@ import repro
 from repro.errors import ConfigurationError
 from repro.simulation import kernels
 from repro.simulation.engine import derive_seed_schedule, simulate_batch
+from repro.simulation.faultmodel import FaultSpec
 from repro.simulation.kernels import (
     KERNELS,
     PackedLfsrSource,
@@ -66,6 +67,24 @@ def circuit():
         repro.paper_section5a_parameters(),
         repro.BernsteinPolynomial([0.25, 0.625, 0.375]),
     )
+
+
+LOW_MARGIN = "low_margin"
+
+NOISE_CASES = [True, False, pytest.param(LOW_MARGIN, id=LOW_MARGIN)]
+"""The parity tests' noise axis.
+
+``True`` is noisy at the Section V-A point, where the link BER is about
+1e-111 and no decision ever flips; ``LOW_MARGIN`` is noisy on the
+``low_margin_circuit`` design, where receiver noise really does.
+"""
+
+
+def _noise_case(request, circuit, noisy):
+    """``(circuit, noisy, min_bit_errors)`` of a :data:`NOISE_CASES` value."""
+    if noisy == LOW_MARGIN:
+        return request.getfixturevalue("low_margin_circuit"), True, 1
+    return circuit, noisy, 0
 
 
 def assert_batches_equal(reference, other):
@@ -422,11 +441,38 @@ class TestPassContextMemoization:
                     simulate_batch(bad, [0.5], length=64, kernel=kernel)
 
 
+def _one_shot_rng_parity(circuit, kernel, sng_kind, length):
+    """numpy vs *kernel* one-shot drawing from the caller's rng."""
+    # Without a schedule the engine consumes the caller's rng; the
+    # kernels must not perturb that consumption order.
+    xs = np.linspace(0, 1, 4)
+    reference = simulate_batch(
+        circuit,
+        xs,
+        length=length,
+        rng=np.random.default_rng(21),
+        sng_kind=sng_kind,
+    )
+    other = simulate_batch(
+        circuit,
+        xs,
+        length=length,
+        rng=np.random.default_rng(21),
+        sng_kind=sng_kind,
+        kernel=kernel,
+    )
+    assert_batches_equal(reference, other)
+    return reference
+
+
 class TestKernelParity:
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     @pytest.mark.parametrize("sng_kind", SNG_KINDS)
-    @pytest.mark.parametrize("noisy", [True, False])
-    def test_one_shot_parity_schedule(self, circuit, kernel, sng_kind, noisy):
+    @pytest.mark.parametrize("noisy", NOISE_CASES)
+    def test_one_shot_parity_schedule(
+        self, request, circuit, kernel, sng_kind, noisy
+    ):
+        circuit, noisy, min_bit_errors = _noise_case(request, circuit, noisy)
         xs = np.linspace(0, 1, 6)
         # 300 is neither a multiple of 64 nor below one word.
         schedule = derive_seed_schedule(
@@ -450,6 +496,7 @@ class TestKernelParity:
             kernel=kernel,
         )
         assert_batches_equal(reference, other)
+        assert reference.transmission_bit_errors.sum() >= min_bit_errors
 
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     @pytest.mark.parametrize("length", [40, 64, 65, 128, 1000])
@@ -467,25 +514,17 @@ class TestKernelParity:
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     @pytest.mark.parametrize("sng_kind", ["lfsr", "sobol"])
     def test_one_shot_parity_rng_protocol(self, circuit, kernel, sng_kind):
-        # Without a schedule the engine consumes the caller's rng; the
-        # kernels must not perturb that consumption order.
-        xs = np.linspace(0, 1, 4)
-        reference = simulate_batch(
-            circuit,
-            xs,
-            length=200,
-            rng=np.random.default_rng(21),
-            sng_kind=sng_kind,
+        _one_shot_rng_parity(circuit, kernel, sng_kind, 200)
+
+    @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
+    @pytest.mark.parametrize("sng_kind", ["lfsr", "sobol"])
+    def test_one_shot_parity_rng_protocol_low_margin(
+        self, low_margin_circuit, kernel, sng_kind
+    ):
+        reference = _one_shot_rng_parity(
+            low_margin_circuit, kernel, sng_kind, 1000
         )
-        other = simulate_batch(
-            circuit,
-            xs,
-            length=200,
-            rng=np.random.default_rng(21),
-            sng_kind=sng_kind,
-            kernel=kernel,
-        )
-        assert_batches_equal(reference, other)
+        assert reference.transmission_bit_errors.sum() > 0
 
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     @pytest.mark.parametrize("sng_width", [5, 8, 16])
@@ -510,8 +549,11 @@ class TestKernelParity:
 class TestRuntimeComposition:
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     @pytest.mark.parametrize("sng_kind", SNG_KINDS)
-    @pytest.mark.parametrize("noisy", [True, False])
-    def test_chunked_statistics_parity(self, circuit, kernel, sng_kind, noisy):
+    @pytest.mark.parametrize("noisy", NOISE_CASES)
+    def test_chunked_statistics_parity(
+        self, request, circuit, kernel, sng_kind, noisy
+    ):
+        circuit, noisy, min_bit_errors = _noise_case(request, circuit, noisy)
         xs = np.linspace(0.05, 0.95, 4)
         schedule = derive_seed_schedule(
             xs.size, np.random.default_rng(31), sng_kind=sng_kind
@@ -559,6 +601,45 @@ class TestRuntimeComposition:
             chunked.power_histogram, reference.power_histogram
         )
         assert np.array_equal(chunked.power_bin_edges, reference.power_bin_edges)
+        assert chunked.transmission_bit_errors.sum() >= min_bit_errors
+
+    @pytest.mark.parametrize("noisy", NOISE_CASES)
+    @pytest.mark.parametrize("fault", [None, FaultSpec(shift_clocks=7)])
+    def test_chunked_statistics_without_the_mux_shortcut(
+        self, request, monkeypatch, circuit, noisy, fault
+    ):
+        # A detector whose noiseless decisions differ from the mux bit
+        # takes the per-clock key path; forcing that path on a healthy
+        # design checks it against the numpy reference.
+        circuit, noisy, min_bit_errors = _noise_case(request, circuit, noisy)
+        xs = np.linspace(0.05, 0.95, 4)
+        schedule = derive_seed_schedule(xs.size, np.random.default_rng(41))
+
+        def run(kernel):
+            return simulate_chunked(
+                circuit,
+                xs,
+                length=1000,
+                chunk_length=96,
+                noisy=noisy,
+                schedule=schedule,
+                power_histogram_bins=16,
+                workers=0,
+                kernel=kernel,
+                fault=fault,
+            )
+
+        reference = run("numpy")
+        monkeypatch.setitem(
+            pass_context(circuit)._flat_tables(), "decision_is_ideal", False
+        )
+        packed = run("packed")
+        assert np.array_equal(packed.ones_count, reference.ones_count)
+        assert np.array_equal(
+            packed.transmission_bit_errors, reference.transmission_bit_errors
+        )
+        assert np.array_equal(packed.power_histogram, reference.power_histogram)
+        assert packed.transmission_bit_errors.sum() >= min_bit_errors
 
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     def test_sharded_parity(self, circuit, kernel):
@@ -673,3 +754,171 @@ class TestSessionAndServing:
             )
         )
         assert reference == packed
+
+
+def _every_key_tile(circuit, noise_for_key):
+    """Bit tiles holding one flat key per row, and noise for each clock.
+
+    Row ``k`` repeats key ``k = (level << channels) | pattern`` at every
+    clock; *noise_for_key(current, threshold, screen)* returns the
+    row's noise values, one per clock.
+    """
+    context = pass_context(circuit)
+    order, channels = context.order, context.channel_count
+    keys = np.arange((order + 1) << channels)
+    patterns, levels = keys & ((1 << channels) - 1), keys >> channels
+    currents = context.receiver.detector.photocurrent_a(
+        context.table[patterns, levels]
+    )
+    noise = np.array(
+        [
+            noise_for_key(
+                current, context.receiver.threshold_a, context.noise_screen_a
+            )
+            for current in currents
+        ]
+    )
+    clocks = noise.shape[1]
+    coeff = (patterns[:, None] >> np.arange(channels)) & 1
+    data = np.arange(order)[None, :] < levels[:, None]
+    coeff_bits = np.repeat(coeff[:, :, None], clocks, axis=2).astype(np.uint8)
+    data_bits = np.repeat(data[:, :, None], clocks, axis=2).astype(np.uint8)
+    return data_bits, coeff_bits, noise
+
+
+def _boundary_noise(current, threshold, screen):
+    """±(theta - I), ±screen, and one float step to either side of each."""
+    values = []
+    for base in (threshold - current, current - threshold, screen, -screen):
+        values += [
+            base,
+            np.nextafter(base, np.inf),
+            np.nextafter(base, -np.inf),
+        ]
+    return values
+
+
+class TestNoiseScreen:
+    """The packed receiver's noise screen changes speed, never a bit."""
+
+    @pytest.mark.parametrize("design", ["circuit", "low_margin_circuit"])
+    def test_screen_is_inside_every_key_margin(self, request, design):
+        circuit = request.getfixturevalue(design)
+        context = pass_context(circuit)
+        currents = context.receiver.detector.photocurrent_a(
+            context.table.reshape(-1)
+        )
+        margin = np.min(np.abs(currents - context.receiver.threshold_a))
+        assert 0.0 < context.noise_screen_a < margin
+
+    @pytest.mark.parametrize("design", ["circuit", "low_margin_circuit"])
+    def test_boundary_noise_decides_like_the_reference(self, request, design):
+        circuit = request.getfixturevalue(design)
+        data_bits, coeff_bits, noise = _every_key_tile(
+            circuit, _boundary_noise
+        )
+        length = noise.shape[1]
+        _, reference, ideal, _ = kernels.optical_pass(
+            circuit, data_bits, coeff_bits, noise
+        )
+        data_words, coeff_words = pack_bits(data_bits), pack_bits(coeff_bits)
+        _, packed, _, _ = kernels.packed_optical_pass(
+            circuit, data_words, coeff_words, noise, length
+        )
+        assert np.array_equal(packed, reference)
+        # The tile does cross the threshold: some noisy decisions differ
+        # from the noiseless ones (the mux bit here).
+        assert np.any(reference != ideal)
+        context = pass_context(circuit)
+        ones, errors, _ = kernels.packed_tile_statistics(
+            circuit,
+            data_words,
+            coeff_words,
+            length,
+            noise=kernels.screen_noise(context, noise),
+        )
+        assert np.array_equal(ones, reference.sum(axis=1))
+        assert np.array_equal(errors, np.sum(reference != ideal, axis=1))
+
+    @pytest.mark.parametrize("design", ["circuit", "low_margin_circuit"])
+    @pytest.mark.parametrize("sng_kind", ["lfsr", "chaotic"])
+    def test_zero_screen_changes_no_statistic(
+        self, request, monkeypatch, design, sng_kind
+    ):
+        # Screen 0 makes every non-zero draw a candidate, i.e. every
+        # clock is decided by the exact rule.
+        circuit = request.getfixturevalue(design)
+        xs = np.linspace(0.05, 0.95, 4)
+        schedule = derive_seed_schedule(
+            xs.size, np.random.default_rng(37), sng_kind=sng_kind
+        )
+
+        def run():
+            return simulate_chunked(
+                circuit,
+                xs,
+                length=1000,
+                chunk_length=96,
+                noisy=True,
+                sng_kind=sng_kind,
+                schedule=schedule,
+                power_histogram_bins=16,
+                workers=0,
+                kernel="packed",
+            )
+
+        screened = run()
+        flat = pass_context(circuit)._flat_tables()
+        assert flat["noise_screen_a"] > 0.0
+        monkeypatch.setitem(flat, "noise_screen_a", 0.0)
+        exhaustive = run()
+        assert np.array_equal(screened.ones_count, exhaustive.ones_count)
+        assert np.array_equal(
+            screened.transmission_bit_errors,
+            exhaustive.transmission_bit_errors,
+        )
+        assert np.array_equal(
+            screened.power_histogram, exhaustive.power_histogram
+        )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_receiver_ber_conformance(self, low_margin_circuit, kernel):
+        # Given its key, each noisy decision errs with probability
+        # Q(|I_key - theta| / sigma); the realized errors must fall in
+        # a 1 - 1e-6 Poisson band around the summed per-key rates (the
+        # Poisson variance bounds the Poisson-binomial one).
+        from scipy.special import erfc
+        from scipy.stats import poisson
+
+        circuit = low_margin_circuit
+        xs = np.linspace(0, 1, 16)
+        schedule = derive_seed_schedule(xs.size, np.random.default_rng(47))
+        batch = simulate_batch(
+            circuit,
+            xs,
+            length=4096,
+            noisy=True,
+            schedule=schedule,
+            kernel=kernel,
+        )
+        (powers, _), counts = np.unique(
+            np.stack(
+                [
+                    batch.received_power_mw.ravel(),
+                    batch.select_levels.ravel().astype(float),
+                ]
+            ),
+            axis=1,
+            return_counts=True,
+        )
+        context = pass_context(circuit)
+        sigma = circuit.params.detector.noise_current_a
+        currents = context.receiver.detector.photocurrent_a(powers)
+        margins = np.abs(currents - context.receiver.threshold_a) / sigma
+        q = 0.5 * erfc(margins / np.sqrt(2.0))
+        # Eq. 9 sizes the probe for the worst-case key; the floats of
+        # that key reproduce it to rounding.
+        assert np.all(q <= circuit.ber() * (1.0 + 1e-9))
+        mean = float(np.sum(counts * q))
+        realized = int(batch.transmission_bit_errors.sum())
+        assert poisson.ppf(5e-7, mean) <= realized <= poisson.isf(5e-7, mean)
