@@ -34,18 +34,19 @@ Part 3 (``--kernels``) benchmarks the pluggable compute kernels
   kinds, noisy and noiseless, and compose with chunking and sharding
   without changing a bit (the exit gate).
 
-Part 5 (``--transports``) benchmarks the shard transports
-(:mod:`repro.simulation.transport`) and writes a unified
-``BENCH_runtime.json`` artifact (sharded + chunked + transports + peak
-RSS):
+Part 5 (``--transports``) benchmarks the shared-memory shard arena
+(:mod:`repro.simulation.transport`) every sharded run goes through and
+writes a unified ``BENCH_runtime.json`` artifact (sharded + chunked +
+transports + peak RSS):
 
-* **pickle vs shm** — the same packed-kernel shard run (default
-  ``B=256``, ``L=2**20``) through the pool-pipe serialization
-  transport and the zero-copy shared-memory arena transport; the shm
-  path targets >= 2x lower bytes moved through the pool pipes (hot
-  arrays travel by segment name, not by value), with the parent-side
-  reassembly times of both paths measured for trend tracking;
-* **parity matrix** — transport x kernel x worker-count must be
+* **arena vs pickled shards** — the packed-kernel shard run (default
+  ``B=256``, ``L=2**20``) through the zero-copy arena, against the
+  counterfactual of pickling the same worker payloads and shard
+  results through the pool pipes; the arena targets >= 2x fewer bytes
+  moved through the pipes (hot arrays travel by segment name, not by
+  value), with both parent-side reassembly times measured for trend
+  tracking;
+* **parity matrix** — backend x kernel x worker-count must be
   bit-for-bit identical to the serial engine pass (the exit gate,
   together with the deterministic transfer-byte ratio).
 
@@ -100,8 +101,8 @@ Run:  PYTHONPATH=src python benchmarks/bench_batched.py \
           [--saturation-length BITS] [--serving-out FILE] \
           [--kernels] [--kernel-length BITS] [--kernels-out FILE] \
           [--faults] [--fault-length BITS] [--faults-out FILE] \
-          [--transport pickle|shm] [--transports] \
-          [--transport-length BITS] [--runtime-out FILE]
+          [--transports] [--transport-length BITS] \
+          [--runtime-out FILE]
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def best_of(repetitions: int, run) -> tuple:
     return best, output
 
 
-def bench_sharded(circuit, workers: int, transport: str = "pickle") -> dict:
+def bench_sharded(circuit, workers: int) -> dict:
     """Serial vs process-sharded evaluation of one shared seed schedule."""
     xs = np.linspace(0.0, 1.0, SHARD_BATCH)
     schedule = derive_seed_schedule(xs.size, np.random.default_rng(SEED))
@@ -265,7 +266,6 @@ def bench_sharded(circuit, workers: int, transport: str = "pickle") -> dict:
             length=SHARD_LENGTH,
             schedule=schedule,
             workers=workers,
-            transport=transport,
         ),
     )
     bit_exact = bool(
@@ -280,7 +280,6 @@ def bench_sharded(circuit, workers: int, transport: str = "pickle") -> dict:
         "batch": SHARD_BATCH,
         "length": SHARD_LENGTH,
         "workers": int(workers),
-        "transport": transport,
         "cpu_cores": cores,
         "serial_seconds": round(serial_s, 6),
         "sharded_seconds": round(sharded_s, 6),
@@ -368,10 +367,11 @@ def _pickled_bytes(obj) -> int:
 
 
 def _transport_parity_matrix(circuit) -> dict:
-    """Bit-exactness gate: transport x kernel x worker count.
+    """Bit-exactness gate: backend x kernel x worker count.
 
     Every sharded composition must reproduce the serial engine pass
-    exactly — the transport, like the kernel, is a pure wall-clock knob.
+    exactly through the shared arena — the pool backend, like the
+    kernel, is a pure wall-clock knob.
     """
     xs = np.linspace(0.0, 1.0, KERNEL_PARITY_BATCH)
     schedule = derive_seed_schedule(xs.size, np.random.default_rng(SEED))
@@ -380,7 +380,7 @@ def _transport_parity_matrix(circuit) -> dict:
     )
     checks = {}
     exact = True
-    for transport in ("pickle", "shm"):
+    for backend in ("process", "thread"):
         for kernel in ("numpy", "packed"):
             for workers in (2, 3):
                 sharded = simulate_batch_sharded(
@@ -389,8 +389,8 @@ def _transport_parity_matrix(circuit) -> dict:
                     length=KERNEL_PARITY_LENGTH,
                     schedule=schedule,
                     workers=workers,
+                    backend=backend,
                     kernel=kernel,
-                    transport=transport,
                 )
                 ok = bool(
                     np.array_equal(reference.values, sharded.values)
@@ -408,29 +408,30 @@ def _transport_parity_matrix(circuit) -> dict:
                         reference.select_levels, sharded.select_levels
                     )
                 )
-                checks[f"{transport}/{kernel}/workers{workers}"] = ok
+                checks[f"{backend}/{kernel}/workers{workers}"] = ok
                 exact = exact and ok
     return {"bit_exact": exact, "cases": checks}
 
 
 def bench_transports(circuit, workers: int, batch: int, length: int) -> dict:
-    """pickle vs shm shard transport on the packed noiseless hot path.
+    """Shared-arena shard transport on the packed noiseless hot path.
 
     Three measurements, one gate:
 
-    * **end-to-end** wall clock of the same sharded run through each
-      transport (machine-dependent, recorded only — on a starved box
-      the pool itself dominates either transport);
-    * **transfer bytes** — what each transport pushes through the pool
-      pipes, measured by pickling the exact worker payloads and shard
-      results the pickle path ships vs the segment-name metadata the
-      shm path ships.  Deterministic layout arithmetic, so the >= 2x
-      target is part of the gate;
-    * **parent-side reassembly** — deserialize + concatenate (pickle)
-      vs attach-view + word-unpack (shm) of identical shard data.
+    * **end-to-end** wall clock of the sharded run through the arena
+      (machine-dependent, recorded only — on a starved box the pool
+      itself dominates);
+    * **transfer bytes** — what pickling the shard payloads and results
+      would push through the pool pipes (the counterfactual, measured
+      by pickling the reference shards) vs the segment-name metadata
+      the arena path ships.  Deterministic layout arithmetic, so the
+      >= 2x target is part of the gate;
+    * **parent-side reassembly** — deserialize + concatenate (pickled
+      shards) vs attach-view + word-unpack (arena) of identical shard
+      data.
 
     The gate is the transfer-byte ratio plus bit-exactness of every
-    transport x kernel x worker-count composition.
+    backend x kernel x worker-count composition.
     """
     import dataclasses
     import pickle
@@ -438,7 +439,7 @@ def bench_transports(circuit, workers: int, batch: int, length: int) -> dict:
 
     from repro.simulation.engine import BatchEvaluation
     from repro.simulation.kernels import pack_bits, unpack_bits
-    from repro.simulation.runtime import _concatenate_batches, _shard_bounds
+    from repro.simulation.runtime import _shard_bounds
     from repro.simulation.transport import SharedArena
 
     workers = max(2, int(workers))
@@ -454,42 +455,35 @@ def bench_transports(circuit, workers: int, batch: int, length: int) -> dict:
         kernel=kernel,
     )
 
-    runs = {}
-    exact_all = True
-    for transport in ("pickle", "shm"):
-        t0 = time.perf_counter()
-        result = simulate_batch_sharded(
-            circuit,
-            xs,
-            length=length,
-            noisy=False,
-            schedule=schedule,
-            workers=workers,
-            kernel=kernel,
-            transport=transport,
+    t0 = time.perf_counter()
+    result = simulate_batch_sharded(
+        circuit,
+        xs,
+        length=length,
+        noisy=False,
+        schedule=schedule,
+        workers=workers,
+        kernel=kernel,
+    )
+    seconds = time.perf_counter() - t0
+    exact_all = bool(
+        np.array_equal(reference.values, result.values)
+        and np.array_equal(reference.output_bits, result.output_bits)
+        and np.array_equal(reference.ideal_bits, result.ideal_bits)
+        and np.array_equal(
+            reference.received_power_mw, result.received_power_mw
         )
-        seconds = time.perf_counter() - t0
-        exact = bool(
-            np.array_equal(reference.values, result.values)
-            and np.array_equal(reference.output_bits, result.output_bits)
-            and np.array_equal(reference.ideal_bits, result.ideal_bits)
-            and np.array_equal(
-                reference.received_power_mw, result.received_power_mw
-            )
-            and np.array_equal(reference.select_levels, result.select_levels)
-        )
-        exact_all = exact_all and exact
-        runs[transport] = {
-            "seconds": round(seconds, 6),
-            "bit_exact": exact,
-        }
-        del result
+        and np.array_equal(reference.select_levels, result.select_levels)
+    )
+    runs = {"shm": {"seconds": round(seconds, 6), "bit_exact": exact_all}}
+    del result
 
     bounds = _shard_bounds(batch, workers)
 
-    # Pickle transport: the pool pipes carry each worker's full payload
-    # (circuit + input slice + seed slice) out and its entire shard
-    # BatchEvaluation — every hot (rows, L) tensor — back.
+    # Pickled shards (the counterfactual): the pool pipes would carry
+    # each worker's full payload (circuit + input slice + seed slice)
+    # out and its entire shard BatchEvaluation — every hot (rows, L)
+    # tensor — back.
     pickle_bytes = 0
     blobs = []
     for lo, hi in bounds:
@@ -520,11 +514,22 @@ def bench_transports(circuit, workers: int, batch: int, length: int) -> dict:
     pickle_bytes += sum(len(blob) for blob in blobs)
 
     t0 = time.perf_counter()
-    _concatenate_batches([pickle.loads(blob) for blob in blobs], length)
+    shards = [pickle.loads(blob) for blob in blobs]
+    for name in (
+        "xs",
+        "values",
+        "expected",
+        "received_power_mw",
+        "output_bits",
+        "ideal_bits",
+        "select_levels",
+    ):
+        np.concatenate([getattr(shard, name) for shard in shards])
     pickle_reassembly_s = time.perf_counter() - t0
+    del shards
     del blobs
 
-    # Shm transport: the pipes carry only the arena spec (segment name
+    # Arena transport: the pipes carry only the arena spec (segment name
     # + field layout) out and the written row range back; the hot
     # tensors cross by shared mapping.  Mirror the runtime's packed
     # field layout, fill it as the workers would, and time the
@@ -1588,18 +1593,12 @@ def main(argv=None) -> int:
         help="fault-benchmark JSON artifact path (default: %(default)s)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("pickle", "shm"),
-        default="pickle",
-        help="shard transport for the part-2 sharded leg (default pickle)",
-    )
-    parser.add_argument(
         "--transports",
         action="store_true",
         help=(
-            "also benchmark pickle vs shm shard transports (transfer "
-            "bytes + reassembly + parity gate) and write the unified "
-            "runtime artifact"
+            "also benchmark the shared-memory shard arena against pickled "
+            "shards (transfer bytes + reassembly + parity gate) and write "
+            "the unified runtime artifact"
         ),
     )
     parser.add_argument(
@@ -1669,7 +1668,7 @@ def main(argv=None) -> int:
     speedup_legacy = legacy_s / batched_s
     speedup_engine = engine_loop_s / batched_s
 
-    sharded = bench_sharded(circuit, workers, transport=args.transport)
+    sharded = bench_sharded(circuit, workers)
     chunked = bench_chunked(circuit, args.long_length, args.chunk_length)
     serving = bench_serving(circuit) if args.serving else None
     saturation_section = None
@@ -1842,13 +1841,13 @@ def main(argv=None) -> int:
             )
         print(
             f"  pool-pipe bytes: {t['pickle_transfer_bytes'] / 1e6:.1f} MB "
-            f"pickle vs {t['shm_transfer_bytes'] / 1e3:.1f} KB shm "
+            f"pickled shards vs {t['shm_transfer_bytes'] / 1e3:.1f} KB arena "
             f"({t['transfer_ratio']:.0f}x, target >= "
             f"{t['target_transfer_ratio']:.0f}x)"
         )
         print(
             f"  reassembly: {t['pickle_reassembly_seconds'] * 1e3:.1f} ms "
-            f"pickle vs {t['shm_reassembly_seconds'] * 1e3:.1f} ms shm "
+            f"pickled shards vs {t['shm_reassembly_seconds'] * 1e3:.1f} ms arena "
             f"({t['reassembly_speedup']:.1f}x)"
         )
         print(

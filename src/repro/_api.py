@@ -59,7 +59,6 @@ from .photonics import (
 from .photonics import devices
 from .simulation import (
     KERNELS,
-    TRANSPORTS,
     BatchEvaluation,
     CalibrationController,
     ChunkedEvaluation,
@@ -168,7 +167,6 @@ __all__ = [
     "RuntimeConfig",
     "SeedSchedule",
     "KERNELS",
-    "TRANSPORTS",
     "kernel_capabilities",
     "derive_seed_schedule",
     "run_batch",

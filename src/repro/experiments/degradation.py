@@ -111,7 +111,7 @@ def fault_frontier_study(
             "(FaultSpec): per-clock flips, stream desynchronization, a "
             "stuck select MZI and thermal-drift/laser-decay trajectories. "
             "Realizations are bit-exact across kernels, workers, chunk "
-            "sizes and transports, so the frontier is a reproducible "
+            "sizes and pool backends, so the frontier is a reproducible "
             "artifact, not a sampling anecdote."
         ),
     )

@@ -28,12 +28,12 @@ loop for sustained overload:
   an immutable :class:`~repro.serving.metrics.MetricsSnapshot`.
 
 The served session's :class:`~repro.simulation.runtime.RuntimeConfig`
-knobs — workers, chunking, the engine's compute ``kernel``
-(``"numpy"``/``"packed"``) and the shard ``transport``
-(``"pickle"``/``"shm"`` zero-copy shared memory) — flow straight
-through :meth:`~repro.session.Evaluator.evaluate`, so a server can be
-pointed at the packed bit-plane kernel and shared-memory sharding for
-throughput without any serving-side change, and serves the same bits.
+knobs — workers, pool backend, chunking and the engine's compute
+``kernel`` (``"numpy"``/``"packed"``) — flow straight through
+:meth:`~repro.session.Evaluator.evaluate`, so a server can be pointed
+at the packed bit-plane kernel and sharded evaluation (shards move
+through zero-copy shared memory) for throughput without any
+serving-side change, and serves the same bits.
 
 Determinism contract
 --------------------

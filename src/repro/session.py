@@ -303,25 +303,10 @@ class Evaluator:
         derive one session per fault point and compare accuracy.
         Unlike the runtime knobs this changes which bits are produced,
         but the realization is schedule-seeded, so results remain
-        bit-for-bit identical across kernels, workers, chunk sizes and
-        transports.
+        bit-for-bit identical across kernels, workers, pool backends and
+        chunk sizes.
         """
         return self.with_options(fault=fault)
-
-    def with_transport(self, transport: str) -> "Evaluator":
-        """A new session moving shard data over another transport.
-
-        Transports (:data:`repro.simulation.transport.TRANSPORTS`) are
-        pure IPC knobs — ``"shm"`` shares zero-copy arenas with process
-        workers instead of pickling shard arrays, and never changes an
-        output bit.  An unknown transport (or ``"shm"`` with a
-        non-process backend) raises
-        :class:`~repro.errors.ConfigurationError` here, not on the
-        first evaluation.
-        """
-        return self.with_runtime(
-            dataclasses.replace(self.runtime, transport=transport)
-        )
 
     @property
     def kernel(self) -> str:

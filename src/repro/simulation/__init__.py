@@ -29,14 +29,12 @@ from .engine import (
 )
 from .functional import OpticalEvaluation, simulate_evaluation, simulate_sweep
 from .runtime import (
-    TRANSPORTS,
     ChunkedEvaluation,
     EvaluationCache,
     RuntimeConfig,
     default_evaluation_cache,
     default_worker_count,
     parallel_map,
-    resolve_transport,
     resolve_vectorized,
     run_batch,
     simulate_batch_sharded,
@@ -81,11 +79,9 @@ __all__ = [
     "EvaluationCache",
     "RuntimeConfig",
     "SharedArena",
-    "TRANSPORTS",
     "default_evaluation_cache",
     "default_worker_count",
     "parallel_map",
-    "resolve_transport",
     "resolve_vectorized",
     "run_batch",
     "simulate_batch_sharded",

@@ -307,7 +307,7 @@ def simulate_batch(
         desynchronization shift) transform the observed output stream —
         seeded from the schedule's per-row ``noise_seeds`` so the
         realization is bit-exact across kernels, workers, chunk sizes
-        and transports.  Stochastic fault components therefore need a
+        and pool backends.  Stochastic fault components therefore need a
         *schedule* or a fixed *base_seed*.
     """
     kernel = resolve_kernel(kernel)

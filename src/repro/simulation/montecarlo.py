@@ -312,7 +312,7 @@ def fault_frontier(
     :meth:`~repro.session.Evaluator.with_fault`, so the whole frontier
     inherits the session guarantees: fault realizations are
     schedule-seeded and bit-for-bit identical across kernels, workers,
-    chunk sizes and transports.
+    chunk sizes and pool backends.
 
     Returns a dict of aligned arrays: ``flip_probability`` and
     ``shift_clocks`` (the axis, as scheduled), ``mean_abs_error`` /

@@ -12,10 +12,9 @@ This module is the scaling layer above the engine:
   reassembled into a :class:`~repro.simulation.engine.BatchEvaluation`
   that is **bit-for-bit identical** to the single-process call under the
   same schedule — every row is fully determined by its seed triple, so
-  rows are relocatable across workers.  Shard data moves over a
-  pluggable *transport*: ``"pickle"`` (pool-pipe serialization) or
-  ``"shm"`` (zero-copy shared-memory arenas, see
-  :mod:`repro.simulation.transport`).
+  rows are relocatable across workers.  Shard inputs and results move
+  through one zero-copy shared-memory arena per run
+  (:mod:`repro.simulation.transport`) on either pool backend.
 * **Chunked streaming** (:func:`simulate_chunked`): very long streams
   (``length >> 2**20``, the ``O(1/N)``-convergence regime that motivates
   low-discrepancy and chaotic-laser randomizers) are evaluated in
@@ -48,6 +47,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,7 +58,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -83,11 +82,10 @@ from .kernels import (
     stream_source,
     unpack_bits,
 )
-from .transport import TRANSPORTS, SharedArena, resolve_transport
+from .transport import SharedArena
 
 __all__ = [
     "BACKENDS",
-    "TRANSPORTS",
     "ChunkedEvaluation",
     "EvaluationCache",
     "RuntimeConfig",
@@ -95,7 +93,6 @@ __all__ = [
     "default_worker_count",
     "parallel_map",
     "resolve_pool",
-    "resolve_transport",
     "resolve_vectorized",
     "run_batch",
     "simulate_batch_sharded",
@@ -252,71 +249,6 @@ def _shard_bounds(batch: int, workers: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _map_row_shards(
-    worker: Callable[[Any], Any],
-    payload_builder: Callable[..., Any],
-    xs: "np.ndarray[Any, Any]",
-    schedule: SeedSchedule,
-    workers: int,
-    backend: str,
-) -> List[Any]:
-    """Fan one row-sharded evaluation out over the pool, order preserved.
-
-    ``payload_builder(xs_shard, schedule_shard)`` produces each worker's
-    payload — the single place the shard layout is decided for both the
-    one-shot and the chunked sharded paths.
-    """
-    payloads = [
-        payload_builder(xs[lo:hi], schedule.shard(lo, hi))
-        for lo, hi in _shard_bounds(xs.size, workers)
-    ]
-    return parallel_map(worker, payloads, workers=workers, backend=backend)
-
-
-def _shard_worker(payload: Tuple[Any, ...]) -> BatchEvaluation:
-    """Evaluate one row shard (module-level so process pools can pickle it)."""
-    (
-        circuit,
-        xs,
-        length,
-        noisy,
-        sng_kind,
-        sng_width,
-        schedule,
-        kernel,
-        fault,
-    ) = payload
-    return simulate_batch(
-        circuit,
-        xs,
-        length=length,
-        noisy=noisy,
-        sng_kind=sng_kind,
-        sng_width=sng_width,
-        schedule=schedule,
-        kernel=kernel,
-        fault=fault,
-    )
-
-
-def _concatenate_batches(
-    shards: Sequence[BatchEvaluation], length: int
-) -> BatchEvaluation:
-    """Reassemble shard results into one batch, row order preserved."""
-    return BatchEvaluation(
-        xs=np.concatenate([s.xs for s in shards]),
-        values=np.concatenate([s.values for s in shards]),
-        expected=np.concatenate([s.expected for s in shards]),
-        stream_length=int(length),
-        received_power_mw=np.concatenate(
-            [s.received_power_mw for s in shards], axis=0
-        ),
-        output_bits=np.concatenate([s.output_bits for s in shards], axis=0),
-        ideal_bits=np.concatenate([s.ideal_bits for s in shards], axis=0),
-        select_levels=np.concatenate([s.select_levels for s in shards], axis=0),
-    )
-
-
 def _shard_input_fields(batch: int) -> Dict[str, Any]:
     """Arena fields carrying the batch inputs (parent -> workers)."""
     return {
@@ -414,13 +346,13 @@ def _simulate_batch_sharded_shm(
     backend: str,
     fault: Optional[FaultSpec] = None,
 ) -> BatchEvaluation:
-    """The zero-copy shm fan-out behind ``transport="shm"``.
+    """The one-shot row-shard fan-out, on either pool backend.
 
     One arena holds the inputs and every result field for the whole
     batch; workers write their row ranges in place and reassembly is a
     view (:meth:`~repro.simulation.transport.SharedArena.export_views`)
     plus — under a packed kernel — one vectorized unpack of the bit
-    tensors.  Bit-for-bit identical to the pickle transport: the same
+    tensors.  Bit-for-bit identical to the serial pass: the same
     :func:`~repro.simulation.engine.simulate_batch` runs per shard, and
     copies/views of identical values are identical.
     """
@@ -500,7 +432,6 @@ def simulate_batch_sharded(
     backend: str = "process",
     schedule: Optional[SeedSchedule] = None,
     kernel: str = "numpy",
-    transport: str = "pickle",
     fault: Optional[FaultSpec] = None,
 ) -> BatchEvaluation:
     """Row-sharded :func:`~repro.simulation.engine.simulate_batch`.
@@ -514,19 +445,17 @@ def simulate_batch_sharded(
     run serially — sharding is a pure wall-clock optimization.
 
     ``workers`` defaults to ``REPRO_RUNTIME_WORKERS`` (0 = serial).  The
-    ``thread`` backend avoids inter-process copies and suits workloads
-    dominated by GIL-releasing numpy kernels; ``process`` (default) is
-    immune to the GIL entirely.  *kernel* selects the compute kernel
-    every shard evaluates with (:data:`repro.simulation.kernels.KERNELS`)
-    and *transport* how shard results return from process workers:
-    ``"pickle"`` (serialize through the pool pipe) or ``"shm"`` (write
-    row ranges in place into a shared-memory arena, reassembled as
-    views — see :mod:`repro.simulation.transport`).  Like the pool
-    knobs, neither ever changes an output bit.
+    ``thread`` backend suits workloads dominated by GIL-releasing numpy
+    kernels; ``process`` (default) is immune to the GIL entirely.  On
+    both, shards write their row ranges in place into one shared-memory
+    arena that is reassembled as views
+    (:mod:`repro.simulation.transport`), so no result tensor is
+    serialized.  *kernel* selects the compute kernel every shard
+    evaluates with (:data:`repro.simulation.kernels.KERNELS`); like the
+    pool knobs, it never changes an output bit.
     """
     _validate_backend(backend)
     kernel = resolve_kernel(kernel)
-    transport = resolve_transport(transport, backend)
     xs = _validate_batch_inputs(
         circuit, xs, length, sng_kind, base_seed, sng_width
     )
@@ -553,39 +482,19 @@ def simulate_batch_sharded(
             kernel=kernel,
             fault=fault,
         )
-    if transport == "shm":
-        return _simulate_batch_sharded_shm(
-            circuit,
-            xs,
-            length,
-            noisy,
-            sng_kind,
-            sng_width,
-            schedule,
-            kernel,
-            workers,
-            backend,
-            fault=fault,
-        )
-    shards = _map_row_shards(
-        _shard_worker,
-        lambda xs_shard, schedule_shard: (
-            circuit,
-            xs_shard,
-            length,
-            noisy,
-            sng_kind,
-            sng_width,
-            schedule_shard,
-            kernel,
-            fault,
-        ),
+    return _simulate_batch_sharded_shm(
+        circuit,
         xs,
+        length,
+        noisy,
+        sng_kind,
+        sng_width,
         schedule,
+        kernel,
         workers,
         backend,
+        fault=fault,
     )
-    return _concatenate_batches(shards, length)
 
 
 # -- chunked streaming ---------------------------------------------------------
@@ -637,37 +546,6 @@ class ChunkedEvaluation:
     def transmission_ber(self) -> "np.ndarray[Any, Any]":
         """Per-row observed link bit-error rate."""
         return self.transmission_bit_errors / self.stream_length
-
-
-def _chunked_shard_worker(payload: Tuple[Any, ...]) -> ChunkedEvaluation:
-    """Stream one row shard (module-level so process pools can pickle it)."""
-    (
-        circuit,
-        xs,
-        length,
-        chunk_length,
-        noisy,
-        sng_kind,
-        sng_width,
-        schedule,
-        bins,
-        kernel,
-        fault,
-    ) = payload
-    return simulate_chunked(
-        circuit,
-        xs,
-        length=length,
-        chunk_length=chunk_length,
-        noisy=noisy,
-        sng_kind=sng_kind,
-        sng_width=sng_width,
-        schedule=schedule,
-        power_histogram_bins=bins,
-        workers=0,
-        kernel=kernel,
-        fault=fault,
-    )
 
 
 def _chunked_shm_worker(
@@ -740,7 +618,7 @@ def _simulate_chunked_shm(
     backend: str,
     fault: Optional[FaultSpec] = None,
 ) -> ChunkedEvaluation:
-    """Shared-memory row sharding for the streaming path."""
+    """The streaming row-shard fan-out, on either pool backend."""
     batch = xs.size
     bounds = _shard_bounds(batch, workers)
     fields = _shard_input_fields(batch)
@@ -796,29 +674,6 @@ def _simulate_chunked_shm(
     )
 
 
-def _concatenate_chunked(
-    shards: Sequence[ChunkedEvaluation],
-) -> ChunkedEvaluation:
-    """Reassemble row-sharded streaming results, row order preserved."""
-    first = shards[0]
-    histogram = first.power_histogram
-    if histogram is not None:
-        histogram = np.sum([s.power_histogram for s in shards], axis=0)
-    return ChunkedEvaluation(
-        xs=np.concatenate([s.xs for s in shards]),
-        expected=np.concatenate([s.expected for s in shards]),
-        stream_length=first.stream_length,
-        chunk_length=first.chunk_length,
-        chunk_count=first.chunk_count,
-        ones_count=np.concatenate([s.ones_count for s in shards]),
-        transmission_bit_errors=np.concatenate(
-            [s.transmission_bit_errors for s in shards]
-        ),
-        power_histogram=histogram,
-        power_bin_edges=first.power_bin_edges,
-    )
-
-
 def simulate_chunked(
     circuit: Any,
     xs: Any,
@@ -834,7 +689,6 @@ def simulate_chunked(
     workers: Optional[int] = None,
     backend: str = "process",
     kernel: str = "numpy",
-    transport: str = "pickle",
     fault: Optional[FaultSpec] = None,
 ) -> ChunkedEvaluation:
     """Stream a long evaluation through ``(B, chunk_length)`` tiles.
@@ -860,10 +714,9 @@ def simulate_chunked(
     bounded by its own tile), and the reassembled accumulators are
     identical to the serial streaming run — rows are independent under
     the schedule, and per-shard histograms share the table-derived bin
-    edges so they sum exactly.  *transport* picks how shard
-    accumulators return from process workers (``"pickle"`` through the
-    pool pipe, ``"shm"`` in place through a shared-memory arena — see
-    :mod:`repro.simulation.transport`); both are bit-exact.
+    edges so they sum exactly.  Shards write their accumulators in
+    place into one shared-memory arena
+    (:mod:`repro.simulation.transport`) on either pool backend.
 
     With the ``"packed"`` *kernel* each tile is
     evaluated on 64-clock uint64 words: the ones/bit-error accumulators
@@ -885,7 +738,6 @@ def simulate_chunked(
     """
     _validate_backend(backend)
     kernel = resolve_kernel(kernel)
-    transport = resolve_transport(transport, backend)
     xs = _validate_batch_inputs(
         circuit, xs, length, sng_kind, base_seed, sng_width
     )
@@ -909,43 +761,21 @@ def simulate_chunked(
         )
     workers = default_worker_count() if workers is None else int(workers)
     if workers > 1 and batch > 1:
-        if transport == "shm":
-            return _simulate_chunked_shm(
-                circuit,
-                xs,
-                length,
-                chunk_length,
-                noisy,
-                sng_kind,
-                sng_width,
-                schedule,
-                power_histogram_bins,
-                kernel,
-                workers,
-                backend,
-                fault=fault,
-            )
-        shards = _map_row_shards(
-            _chunked_shard_worker,
-            lambda xs_shard, schedule_shard: (
-                circuit,
-                xs_shard,
-                length,
-                chunk_length,
-                noisy,
-                sng_kind,
-                sng_width,
-                schedule_shard,
-                power_histogram_bins,
-                kernel,
-                fault,
-            ),
+        return _simulate_chunked_shm(
+            circuit,
             xs,
+            length,
+            chunk_length,
+            noisy,
+            sng_kind,
+            sng_width,
             schedule,
+            power_histogram_bins,
+            kernel,
             workers,
             backend,
+            fault=fault,
         )
-        return _concatenate_chunked(shards)
     params = circuit.params
     order = params.order
     channel_count = order + 1
@@ -1179,7 +1009,6 @@ def _cached_simulate_batch(
     workers: Optional[int] = None,
     backend: str = "process",
     kernel: str = "numpy",
-    transport: str = "pickle",
     fault: Optional[FaultSpec] = None,
 ) -> BatchEvaluation:
     """Keyed, memoized batch evaluation for repeated exploration sweeps.
@@ -1228,7 +1057,6 @@ def _cached_simulate_batch(
         backend=backend,
         schedule=schedule,
         kernel=kernel,
-        transport=transport,
         fault=fault,
     )
     cache.store(key, result)
@@ -1261,15 +1089,13 @@ class RuntimeConfig:
     freely, and like every other knob here the kernel never changes an
     output bit.
 
-    ``transport`` selects how shard data moves between the parent and
-    process workers (:data:`repro.simulation.transport.TRANSPORTS`):
-    ``"pickle"`` (default) serializes shard inputs/results through the
-    pool pipe; ``"shm"`` shares one zero-copy
-    :mod:`multiprocessing.shared_memory` arena that workers write their
-    row ranges into, with reassembly as a view — no hot array is
-    serialized in either direction.  ``"shm"`` requires the
-    ``"process"`` backend (thread workers already share memory) and is,
-    like the kernel, bit-exact with the default.
+    Sharded runs always move shard data through one zero-copy
+    :mod:`multiprocessing.shared_memory` arena
+    (:mod:`repro.simulation.transport`), whatever the backend.
+    ``transport`` is a deprecated no-op kept for the benchmark harness
+    in ``perfbench/``, its last caller: the legacy names ``"pickle"``
+    and ``"shm"`` warn with :class:`DeprecationWarning`, anything else
+    raises.  The field goes once that harness stops passing it.
 
     Every construction-knowable misconfiguration fails in
     ``__post_init__`` — an invalid backend, kernel, chunk size, worker
@@ -1287,12 +1113,24 @@ class RuntimeConfig:
     cache: Optional[EvaluationCache] = None
     vectorized: bool = False
     kernel: str = "numpy"
-    transport: str = "pickle"
+    transport: Optional[str] = None
 
     def __post_init__(self) -> None:
         _validate_backend(self.backend)
         resolve_kernel(self.kernel)
-        resolve_transport(self.transport, self.backend)
+        if self.transport in ("pickle", "shm"):
+            warnings.warn(
+                "RuntimeConfig.transport is deprecated and has no effect: "
+                "shards always move through the shared-memory arena",
+                DeprecationWarning,
+                stacklevel=3,
+            )
+        elif self.transport is not None:
+            raise ConfigurationError(
+                f"unknown transport {self.transport!r}; the option is "
+                "deprecated — shards always move through the shared-memory "
+                "arena"
+            )
         if not isinstance(self.vectorized, bool):
             raise ConfigurationError(
                 f"vectorized must be a bool, got {self.vectorized!r}"
@@ -1393,7 +1231,6 @@ def run_batch(
             workers=workers,
             backend=config.backend,
             kernel=config.kernel,
-            transport=config.transport,
             fault=fault,
         )
     if config.cache_requested:  # base_seed is fixed: validated above
@@ -1410,7 +1247,6 @@ def run_batch(
             workers=workers,
             backend=config.backend,
             kernel=config.kernel,
-            transport=config.transport,
             fault=fault,
         )
     xs = _validate_batch_inputs(
@@ -1431,7 +1267,6 @@ def run_batch(
             backend=config.backend,
             schedule=schedule,
             kernel=config.kernel,
-            transport=config.transport,
             fault=fault,
         )
     return simulate_batch(

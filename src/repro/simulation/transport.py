@@ -1,10 +1,11 @@
 """Zero-copy shard transport over POSIX shared memory.
 
-The sharded runtime's default ``"pickle"`` transport serializes every
-shard's result tensors through the process-pool pipe — for a
-``B=256 x L=2**20`` batch that is gigabytes of pickling in each
-direction, the dominant cost once the packed kernels made the compute
-itself cheap.  The ``"shm"`` transport removes that cost entirely:
+Serializing every shard's result tensors through the process-pool pipe
+would cost, for a ``B=256 x L=2**20`` batch, gigabytes of pickling in
+each direction — the dominant cost once the packed kernels made the
+compute itself cheap.  Every sharded run of the runtime therefore moves
+its shard data through a shared-memory arena instead, on either pool
+backend:
 
 * the parent allocates **one** :mod:`multiprocessing.shared_memory`
   segment laid out as a set of named arrays (:class:`SharedArena`) —
@@ -17,14 +18,18 @@ itself cheap.  The ``"shm"`` transport removes that cost entirely:
   arrays without copying, unlinks the name, and the OS frees the pages
   when the last view dies.
 
-No hot array is serialized in either direction, and the transport is a
-pure wall-clock lever: results are bit-for-bit identical to the pickle
-transport and to the serial engine call (gated by the kernel-parity
-matrix in ``tests/test_kernels.py`` and ``bench_batched.py``).
+No hot array is serialized in either direction, and results are
+bit-for-bit identical to the serial engine call (gated by the parity
+matrices in ``tests/test_runtime.py`` and ``bench_batched.py``).  Where
+the platform can reserve the segment's pages up front
+(``os.posix_fallocate``), an arena that does not fit in ``/dev/shm``
+fails at creation with :class:`~repro.errors.SimulationError` instead of
+a ``SIGBUS`` at the first write.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import threading
 import weakref
@@ -33,12 +38,9 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 
-__all__ = ["TRANSPORTS", "SharedArena", "resolve_transport"]
-
-TRANSPORTS: Tuple[str, ...] = ("pickle", "shm")
-"""Shard transports for the sharded/chunked runtime."""
+__all__ = ["SharedArena"]
 
 _ALIGN = 64
 
@@ -46,26 +48,6 @@ _ALIGN = 64
 FieldMap = Dict[str, Tuple[Sequence[int], Any]]
 #: ``(shape, dtype, byte offset)`` as the resolved layout stores it.
 _Field = Tuple[Tuple[int, ...], "np.dtype[Any]", int]
-
-
-def resolve_transport(transport: str, backend: Optional[str] = None) -> str:
-    """Validate a transport name (and its backend pairing when given).
-
-    ``"shm"`` only makes sense with the ``process`` backend — thread
-    workers already share the parent's address space, so requesting a
-    shared-memory transport there is a misconfiguration, not a no-op.
-    """
-    if transport not in TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
-    if transport == "shm" and backend is not None and backend != "process":
-        raise ConfigurationError(
-            "transport='shm' requires the 'process' backend; thread workers "
-            "already share memory — use transport='pickle' (the thread "
-            "backend never serializes arrays anyway)"
-        )
-    return transport
 
 
 def _build_layout(fields: FieldMap) -> Tuple[Dict[str, _Field], int]:
@@ -115,6 +97,33 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
             resource_tracker.register = original
 
 
+def _reserve_pages(shm: shared_memory.SharedMemory, size: int) -> None:
+    """Back every page of a new segment now, or unlink it and raise.
+
+    A tmpfs segment is sparse: without the reservation, a ``/dev/shm``
+    too small for the arena only shows at the first write to a missing
+    page, as a ``SIGBUS`` that kills the whole process.  Platforms
+    without ``posix_fallocate``, or filesystems that refuse it
+    (``EINVAL``/``EOPNOTSUPP``), keep the sparse segment.
+    """
+    fallocate = getattr(os, "posix_fallocate", None)
+    fd = int(getattr(shm, "_fd", -1))
+    if fallocate is None or fd < 0:
+        return
+    try:
+        fallocate(fd, 0, size)
+    except OSError as error:
+        if error.errno in (errno.EINVAL, errno.EOPNOTSUPP):
+            return
+        shm.close()
+        shm.unlink()
+        raise SimulationError(
+            f"cannot reserve {size} bytes of shared memory for the shard "
+            f"arena ({error}); stream the run in tiles (a smaller "
+            "chunk_length) or use fewer rows per call"
+        ) from error
+
+
 class SharedArena:
     """One shared-memory segment laid out as a set of named ndarrays.
 
@@ -133,7 +142,13 @@ class SharedArena:
 
     def __init__(self, fields: FieldMap) -> None:
         self._layout, size = _build_layout(fields)
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, size))
+        size = max(1, size)
+        # Under the attach lock: a concurrent untracked attach on another
+        # thread would otherwise swallow this segment's tracker entry.
+        with _ATTACH_LOCK:
+            shm = shared_memory.SharedMemory(create=True, size=size)
+        _reserve_pages(shm, size)
+        self._shm = shm
         self._owner = True
 
     @classmethod

@@ -30,10 +30,10 @@ callables handed to the dispatch APIs the runtime uses:
 ``executor.map(fn, ...)``, ``threading.Thread(target=fn)``,
 ``loop.run_in_executor(None, fn, ...)`` — unwrapping
 ``functools.partial(fn, ...)`` wrappers.  A function that forwards one
-of its own parameters into a dispatcher (``def _map_row_shards(worker,
-...): parallel_map(worker, ...)``) is itself treated as a dispatcher:
+of its own parameters into a dispatcher (``def fan_out(worker, ...):
+parallel_map(worker, ...)``) is itself treated as a dispatcher:
 callables passed at its call sites become entries too (one level of
-higher-order forwarding, which is all the runtime uses).
+higher-order forwarding).
 
 Packed entry points — the roots of the RL009 hot-path check — are the
 functions and classes whose qualified name carries the packed-kernel

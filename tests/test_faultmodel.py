@@ -3,7 +3,7 @@
 The contract under test: a :class:`FaultSpec` names a *scenario*, and
 the realized fault bits are a pure function of (spec, seed schedule,
 absolute clock index) — so fault-injected evaluations are bit-for-bit
-identical across kernels, worker counts, chunk lengths and transports,
+identical across kernels, worker counts, chunk lengths and pool backends,
 and trajectory faults (drift ramps, laser decay) stitch exactly across
 chunk boundaries.
 """
@@ -344,13 +344,8 @@ class TestRelocatability:
         [
             RuntimeConfig(workers=2, backend="thread"),
             RuntimeConfig(workers=2, backend="process"),
-            RuntimeConfig(workers=2, backend="process", transport="shm"),
-            RuntimeConfig(
-                workers=2,
-                backend="process",
-                transport="shm",
-                kernel="packed",
-            ),
+            RuntimeConfig(workers=3, backend="process"),
+            RuntimeConfig(workers=2, backend="thread", kernel="packed"),
         ],
     )
     def test_workers_and_transports_change_no_bit(self, circuit, config):

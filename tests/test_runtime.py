@@ -8,6 +8,8 @@ chunked streaming must accumulate exactly the one-shot statistics; a
 cache hit must return the stored result without recomputing.
 """
 
+import errno
+import os
 import threading
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from repro.core.circuit import OpticalStochasticCircuit
 from repro.core.params import paper_section5a_parameters
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.exploration.sweep import grid_sweep
 from repro.exploration.tradeoffs import throughput_accuracy_frontier
 from repro.simulation.engine import (
@@ -52,6 +54,27 @@ def circuit():
         paper_section5a_parameters(),
         BernsteinPolynomial([0.25, 0.625, 0.375]),
     )
+
+
+def _psm_segments():
+    """Names of the POSIX shared-memory segments currently alive."""
+    try:
+        return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+    except FileNotFoundError:  # non-Linux: nothing to check
+        return set()
+
+
+def _assert_chunked_identical(a, b):
+    assert np.array_equal(a.xs, b.xs)
+    assert np.array_equal(a.expected, b.expected)
+    assert np.array_equal(a.ones_count, b.ones_count)
+    assert np.array_equal(
+        a.transmission_bit_errors, b.transmission_bit_errors
+    )
+    assert np.array_equal(a.power_histogram, b.power_histogram)
+    assert np.array_equal(a.power_bin_edges, b.power_bin_edges)
+    assert a.chunk_count == b.chunk_count
+    assert a.chunk_length == b.chunk_length
 
 
 def _assert_batches_identical(a, b):
@@ -794,6 +817,18 @@ class TestSharedArena:
         assert np.array_equal(views["x"], np.arange(8.0))
         assert views["x"].base is not None  # a view, not a copy
 
+    def test_unreservable_arena_raises_and_unlinks(self, monkeypatch):
+        from repro.simulation.transport import SharedArena
+
+        def no_space(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        before = _psm_segments()
+        monkeypatch.setattr(os, "posix_fallocate", no_space, raising=False)
+        with pytest.raises(SimulationError, match="4096 bytes"):
+            SharedArena({"x": ((512,), np.float64)})
+        assert _psm_segments() - before == set()
+
     def test_unknown_field_raises(self):
         from repro.simulation.transport import SharedArena
 
@@ -806,23 +841,30 @@ class TestSharedArena:
 
 
 class TestShmTransport:
-    def test_resolve_transport_validates(self):
-        from repro.simulation.runtime import TRANSPORTS, resolve_transport
+    """Every sharded run goes through the shared-memory arena."""
 
-        assert TRANSPORTS == ("pickle", "shm")
-        assert resolve_transport("pickle", "thread") == "pickle"
-        assert resolve_transport("shm", "process") == "shm"
+    def test_resolve_transport_validates(self):
+        import repro
+        import repro.simulation as simulation
+        from repro.simulation import runtime, transport
+
+        # The transport axis is gone: no validator, no name registry.
+        for module in (runtime, transport, simulation, repro):
+            assert not hasattr(module, "resolve_transport")
+            assert not hasattr(module, "TRANSPORTS")
+        # The legacy config field is a deprecated no-op: the old names
+        # warn, anything else still refuses.
+        for legacy in ("pickle", "shm"):
+            with pytest.warns(DeprecationWarning, match="shared-memory"):
+                config = RuntimeConfig(transport=legacy)
+            assert config.transport == legacy
         with pytest.raises(ConfigurationError, match="unknown transport"):
-            resolve_transport("carrier-pigeon")
-        with pytest.raises(ConfigurationError, match="process"):
-            resolve_transport("shm", "thread")
+            RuntimeConfig(transport="carrier-pigeon")
+        assert RuntimeConfig().transport is None
 
     def test_runtime_config_rejects_shm_thread_pairing(self):
         with pytest.raises(ConfigurationError):
-            RuntimeConfig(backend="thread", transport="shm")
-        with pytest.raises(ConfigurationError):
             RuntimeConfig(transport="smoke-signals")
-        assert RuntimeConfig(transport="shm").transport == "shm"
 
     @pytest.mark.parametrize("kernel", ["numpy", "packed"])
     @pytest.mark.parametrize("workers", [2, 3])
@@ -839,27 +881,30 @@ class TestShmTransport:
             schedule=schedule,
             workers=workers,
             kernel=kernel,
-            transport="shm",
         )
         _assert_batches_identical(serial, shm)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sharded_shm_matches_pickle_all_kinds(self, circuit, kind):
+        # Process and thread pools share one arena fan-out: both must
+        # reproduce the serial pass, and hence each other.
         xs = np.linspace(0.1, 0.9, 5)
         schedule = derive_seed_schedule(
             xs.size, sng_kind=kind, base_seed=11
         )
         kwargs = dict(
-            length=192, sng_kind=kind, schedule=schedule, workers=2,
-            kernel="packed",
+            length=192, sng_kind=kind, schedule=schedule, kernel="packed",
         )
-        via_pickle = simulate_batch_sharded(
-            circuit, xs, transport="pickle", **kwargs
+        serial = simulate_batch(circuit, xs, **kwargs)
+        via_process = simulate_batch_sharded(
+            circuit, xs, workers=2, backend="process", **kwargs
         )
-        via_shm = simulate_batch_sharded(
-            circuit, xs, transport="shm", **kwargs
+        via_thread = simulate_batch_sharded(
+            circuit, xs, workers=2, backend="thread", **kwargs
         )
-        _assert_batches_identical(via_pickle, via_shm)
+        _assert_batches_identical(via_process, via_thread)
+        _assert_batches_identical(serial, via_process)
+        _assert_batches_identical(serial, via_thread)
 
     def test_sharded_shm_unaligned_length_noiseless(self, circuit):
         # A non-multiple-of-64 length exercises the packed-word tail
@@ -877,7 +922,6 @@ class TestShmTransport:
             schedule=schedule,
             workers=2,
             kernel="packed",
-            transport="shm",
         )
         _assert_batches_identical(serial, shm)
 
@@ -903,18 +947,25 @@ class TestShmTransport:
             power_histogram_bins=6,
             workers=3,
             kernel=kernel,
-            transport="shm",
         )
-        assert np.array_equal(serial.xs, shm.xs)
-        assert np.array_equal(serial.expected, shm.expected)
-        assert np.array_equal(serial.ones_count, shm.ones_count)
-        assert np.array_equal(
-            serial.transmission_bit_errors, shm.transmission_bit_errors
+        _assert_chunked_identical(serial, shm)
+
+    @pytest.mark.parametrize("kernel", ["numpy", "packed"])
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_thread_backend_chunked_arena_matches_serial(
+        self, circuit, kernel, noisy
+    ):
+        xs = np.linspace(0.05, 0.95, 6)
+        schedule = derive_seed_schedule(xs.size, np.random.default_rng(8))
+        kwargs = dict(
+            length=300, chunk_length=64, noisy=noisy, schedule=schedule,
+            power_histogram_bins=8,
         )
-        assert np.array_equal(serial.power_histogram, shm.power_histogram)
-        assert np.array_equal(serial.power_bin_edges, shm.power_bin_edges)
-        assert serial.chunk_count == shm.chunk_count
-        assert serial.chunk_length == shm.chunk_length
+        serial = simulate_chunked(circuit, xs, workers=0, **kwargs)
+        threaded = simulate_chunked(
+            circuit, xs, workers=3, backend="thread", kernel=kernel, **kwargs
+        )
+        _assert_chunked_identical(serial, threaded)
 
     def test_run_batch_routes_transport(self, circuit):
         xs = [0.25, 0.5, 0.75]
@@ -924,43 +975,91 @@ class TestShmTransport:
         )
         via_shm = run_batch(
             circuit, xs, length=256, base_seed=4,
-            config=RuntimeConfig(workers=2, transport="shm", kernel="packed"),
+            config=RuntimeConfig(workers=2, kernel="packed"),
         )
         _assert_batches_identical(reference, via_shm)
 
+    def test_legacy_transport_changes_no_bit(self, circuit):
+        xs = [0.25, 0.5, 0.75]
+        kwargs = dict(length=256, base_seed=4)
+        reference = run_batch(circuit, xs, config=RuntimeConfig(), **kwargs)
+        with pytest.warns(DeprecationWarning):
+            legacy = [
+                RuntimeConfig(transport="pickle"),
+                RuntimeConfig(workers=2, transport="pickle"),
+                RuntimeConfig(workers=2, transport="shm"),
+            ]
+        for config in legacy:
+            _assert_batches_identical(
+                reference, run_batch(circuit, xs, config=config, **kwargs)
+            )
+
     def test_shm_results_survive_gc_and_leak_no_segments(self, circuit):
         import gc
-        import os
 
-        def psm_segments():
-            try:
-                return {
-                    f for f in os.listdir("/dev/shm") if f.startswith("psm_")
-                }
-            except FileNotFoundError:  # non-Linux: nothing to check
-                return set()
-
-        before = psm_segments()
+        before = _psm_segments()
         xs = np.linspace(0.1, 0.9, 4)
         result = simulate_batch_sharded(
-            circuit, xs, length=128, workers=2, transport="shm",
+            circuit, xs, length=128, workers=2,
             rng=np.random.default_rng(2),
         )
         values = result.values.copy()
         del result
         gc.collect()
-        assert psm_segments() - before == set()
+        assert _psm_segments() - before == set()
         assert values.shape == (4,)
 
-    def test_serial_fallback_still_validates_transport(self, circuit):
-        with pytest.raises(ConfigurationError):
+    def test_thread_backend_leaks_no_segments(self, circuit, monkeypatch):
+        import gc
+
+        from repro.simulation import runtime
+
+        before = _psm_segments()
+        xs = np.linspace(0.1, 0.9, 4)
+        result = simulate_batch_sharded(
+            circuit, xs, length=128, workers=2, backend="thread",
+            rng=np.random.default_rng(2),
+        )
+        chunked = simulate_chunked(
+            circuit, xs, length=256, chunk_length=64, workers=2,
+            backend="thread", power_histogram_bins=4,
+            rng=np.random.default_rng(2),
+        )
+        del result, chunked
+        gc.collect()
+        assert _psm_segments() - before == set()
+
+        def broken_shard(*args, **kwargs):
+            raise RuntimeError("shard failed")
+
+        # The shard workers look the engine entry points up in the
+        # runtime module; the outer calls below hold the originals.
+        monkeypatch.setattr(runtime, "simulate_batch", broken_shard)
+        monkeypatch.setattr(runtime, "simulate_chunked", broken_shard)
+        with pytest.raises(RuntimeError, match="shard failed"):
             simulate_batch_sharded(
-                circuit, [0.5], length=64, workers=0, transport="nope",
-                rng=np.random.default_rng(1),
+                circuit, xs, length=128, workers=2, backend="thread",
+                rng=np.random.default_rng(2),
             )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(RuntimeError, match="shard failed"):
             simulate_chunked(
-                circuit, [0.5], length=128, chunk_length=32, workers=0,
-                transport="shm", backend="thread",
-                rng=np.random.default_rng(1),
+                circuit, xs, length=256, chunk_length=64, workers=2,
+                backend="thread", rng=np.random.default_rng(2),
             )
+        gc.collect()
+        assert _psm_segments() - before == set()
+
+    def test_serial_fallback_still_validates_transport(self, circuit):
+        # workers=0 never reaches the pool, but still refuses a bad
+        # backend or kernel.
+        for bad in (dict(backend="nope"), dict(kernel="nope")):
+            with pytest.raises(ConfigurationError):
+                simulate_batch_sharded(
+                    circuit, [0.5], length=64, workers=0,
+                    rng=np.random.default_rng(1), **bad,
+                )
+            with pytest.raises(ConfigurationError):
+                simulate_chunked(
+                    circuit, [0.5], length=128, chunk_length=32, workers=0,
+                    rng=np.random.default_rng(1), **bad,
+                )
