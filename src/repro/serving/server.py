@@ -529,21 +529,27 @@ class BatchServer:
                 return
 
     async def _collect(self, first: Request) -> List[Request]:
-        """Coalesce requests behind *first* until size or deadline."""
+        """Coalesce requests behind *first* until size or deadline.
+
+        Requests already queued are drained without yielding to the
+        loop, so a saturated server forms full batches at no per-request
+        scheduling cost.  Only an empty queue awaits the next arrival,
+        for at most what is left of the ``max_batch_delay_s`` window;
+        once that window has passed (or the server is stopping) the
+        batch closes as soon as the queue runs dry.
+        """
         loop = asyncio.get_running_loop()
         queue = self._queue
         assert queue is not None
         batch = [first]
         deadline = loop.time() + self._max_batch_delay_s
         while len(batch) < self._max_batch_size:
-            remaining = deadline - loop.time()
-            if remaining <= 0 or self._stopping:
-                # Deadline passed: take only what is already queued.
-                try:
-                    request = queue.get_nowait()
-                except asyncio.QueueEmpty:
+            try:
+                request = queue.get_nowait()
+            except asyncio.QueueEmpty:
+                remaining = deadline - loop.time()
+                if remaining <= 0 or self._stopping:
                     break
-            else:
                 try:
                     request = await asyncio.wait_for(queue.get(), remaining)
                 except asyncio.TimeoutError:

@@ -39,7 +39,13 @@ receiver are built once per circuit fingerprint instead of once per
 optical pass, which previously repeated that work for every tile of a
 chunked stream — and the comparator stream sources
 (:func:`stream_source`) both the one-shot engine and the chunked
-runtime draw their randomizer banks from.
+runtime draw their randomizer banks from.  Packed LFSR and Sobol banks
+read their words off the randomizer cycle in one of two layouts picked
+by a cost rule on the bank's shape: *tiled* words (each distinct
+value's period compared and packed once — long streams) or *sliced*
+words (the cycle's value-independent state bit planes compared against
+integer thresholds word-wide — short streams of many distinct values,
+such as serving batches).
 """
 
 from __future__ import annotations
@@ -47,7 +53,17 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -96,6 +112,8 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 _WORD_BITS = 64
 
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
 
 # -- kernel registry -----------------------------------------------------------
 
@@ -128,8 +146,10 @@ def kernel_capabilities() -> Dict[str, Dict[str, Any]]:
             "requires": None,
             "bit_tensor_bytes_per_bit": 1.0,
             "description": (
-                "reference engine: uint8 bit tensors; fastest for tiny "
-                "batches where packing overhead dominates"
+                "reference engine: uint8 bit tensors; fastest for single "
+                "rows of short streams (L=4096: 0.8 vs 1.6 ms for one "
+                "row, on par at 8 rows), where the packed kernel's fixed "
+                "per-call word work dominates"
             ),
         },
         "packed": {
@@ -138,8 +158,9 @@ def kernel_capabilities() -> Dict[str, Dict[str, Any]]:
             "bit_tensor_bytes_per_bit": 1.0 / 8.0,
             "description": (
                 "dependency-free uint64 bit-plane engine: 8x smaller bit "
-                "tensors; wins on long streams, noisy or not (the LFSR "
-                "hot path runs on words, not bytes)"
+                "tensors; wins from tens of rows and on long streams, "
+                "noisy or not (L=4096, 64 rows: 1.8x noiseless, 1.1x "
+                "noisy; the LFSR hot path runs on words, not bytes)"
             ),
         },
     }
@@ -682,18 +703,141 @@ def _check_window(offset: int, count: int) -> None:
         )
 
 
+_SLICED_STREAM_COST = 4
+_SLICED_START_COST = 24
+"""Sliced-layout cost per plane word, in units of one tiled cycle bit.
+
+Per distinct ``(start, threshold)`` stream compared, and per distinct
+start position whose plane windows are read.  Fitted to a
+create-plus-take sweep (LFSR widths 10-20, 16-512 streams, 2-512
+starts, 3-512 thresholds, L = 2**8 to 2**18) with numpy 2.4 on a
+2-core x86 VM: a tiled cycle bit cost ~0.9 ns, a sliced plane word ~5
+ns per stream and ~23 ns per start.
+"""
+
+
+def _comparator_thresholds(
+    values: Any, shape: Tuple[int, ...], width: int
+) -> "np.ndarray[Any, Any]":
+    """Integer comparator thresholds ``t = ceil(v * 2**width)``, clamped.
+
+    A cycle uniform is exactly ``state / 2**width`` — the LFSR's
+    ``cycle / 2**width`` and the van der Corput sum of distinct powers
+    of two are both exact in float64, as is ``v * 2**width`` — so for an
+    integer state ``uniform < v`` holds exactly when ``state < t``.
+    ``t`` is clamped to ``[0, 2**width]``: NaN and values ``<= 0`` give
+    0 (no clock is below), values ``> 1 - 2**-width`` and ``+inf`` give
+    ``2**width`` (every clock is below).
+    """
+    scale = float(1 << int(width))
+    values = np.broadcast_to(np.asarray(values, dtype=float), shape)
+    scaled = np.nan_to_num(np.ceil(values * scale), nan=0.0)
+    return np.clip(scaled, 0.0, scale).astype(np.int64)
+
+
+def _tiled_words(
+    bits: "np.ndarray[Any, Any]", period: int
+) -> "np.ndarray[Any, Any]":
+    """Pack ``(..., period)`` cycle bits tiled for unaligned word reads.
+
+    Enough repeats of the period that a 64-bit window starting anywhere
+    in ``[0, period)`` is one in-bounds two-word read, with periodic
+    continuation automatic (two repeats except periods shorter than 64
+    bits).
+    """
+    repeats = 1 + -(-(_WORD_BITS - 1) // int(period))
+    return pack_bits(np.tile(bits, (1,) * (bits.ndim - 1) + (repeats,)))
+
+
+_CYCLE_PLANES: Dict[Tuple[str, int], "np.ndarray[Any, Any]"] = {}
+_CYCLE_PLANES_LOCK = threading.Lock()
+
+
+def _cycle_planes(
+    key: Tuple[str, int], cycle: "np.ndarray[Any, Any]", width: int
+) -> "np.ndarray[Any, Any]":
+    """The *width* bit planes of a cycle's states, tiled and packed.
+
+    ``(width, words)`` uint64, plane ``i`` holding bit ``i`` of every
+    state (:func:`_tiled_words` layout).  Value-independent, so built
+    once per randomizer *key*, read-only, under the module lock:
+    thread-backend shards and the serving executor share the cache.
+    Only the sliced path asks for planes; tiled runs never build them.
+    """
+    with _CYCLE_PLANES_LOCK:
+        planes = _CYCLE_PLANES.get(key)
+        if planes is None:
+            planes = np.stack(
+                [
+                    _tiled_words(
+                        ((cycle >> bit) & 1).astype(np.uint8), cycle.size
+                    )
+                    for bit in range(int(width))
+                ]
+            )
+            planes.setflags(write=False)
+            _CYCLE_PLANES[key] = planes
+    return planes
+
+
+def _sliced_less(
+    windows: "np.ndarray[Any, Any]",
+    rows: "np.ndarray[Any, Any]",
+    masks: "np.ndarray[Any, Any]",
+) -> "np.ndarray[Any, Any]":
+    """Packed ``state < t`` per stream: a word-wide MSB-first comparator.
+
+    *windows* is ``(w, U, W)``: the state-plane words of each of ``U``
+    distinct start positions, least significant plane first; *rows*
+    picks each stream's start; *masks* is ``(w + 1, len(rows), 1)``,
+    all-ones where bit ``i`` of the stream's threshold is set (bit
+    ``w`` set means ``t == 2**w``, above every state).  A clock is
+    below its threshold when, at the highest bit where the two differ,
+    the threshold has the 1; ``equal`` tracks the clocks whose higher
+    bits all agree so far.
+    """
+    width = windows.shape[0]
+    shape = rows.shape + windows.shape[-1:]
+    less = np.broadcast_to(masks[width], shape).copy()
+    equal = ~less
+    for bit in range(width - 1, -1, -1):
+        differ = windows[bit][rows]
+        differ ^= masks[bit]
+        differ &= equal
+        equal ^= differ
+        differ &= masks[bit]
+        less |= differ
+    return less
+
+
+_Source = TypeVar("_Source", bound="_PackedCycleSource")
+
+
 class _PackedCycleSource:
     """Shared machinery of the periodic packed comparator sources.
 
-    A periodic uniform sequence compared against a fixed value yields
-    the same ``period``-bit comparator sequence for every stream using
-    the same value: the cycle uniforms are compared once per *unique*
-    value and packed (tiled, so any 64-bit window is one unaligned
-    two-word read), then :meth:`take` gathers each stream's words by
-    bit offset — never materializing the ``(B, C, count)`` float64
-    uniforms.  Subclasses provide the cycle, the per-stream start
-    positions and ``_start_shift`` (how many cycle steps past the start
-    position the stream's first clock sits).
+    A periodic randomizer walks a cycle of integer states whose
+    comparator uniforms are exactly ``state / 2**width``, so a stream is
+    fixed by its start position on the cycle and its integer threshold
+    (:func:`_comparator_thresholds`).  :meth:`take` reads stream words
+    by bit offset — never materializing the ``(B, C, count)`` float64
+    uniforms — from one of two layouts, chosen once per source by a
+    cost rule (:meth:`_from_cycle`):
+
+    * **tiled**: the ``period``-bit comparator sequence of each distinct
+      threshold, compared and packed at creation.  Creation costs
+      ``thresholds * period`` bits, then any window is a word gather:
+      the layout for streams that read the cycle many times over.
+    * **sliced**: the cycle's ``width`` value-independent bit planes
+      (:func:`_cycle_planes`, built once per randomizer).  A take
+      gathers the plane windows once per distinct start position and
+      evaluates ``state < t`` word-wide (:func:`_sliced_less`) once per
+      distinct ``(start, threshold)`` stream — no per-value work: the
+      layout for short streams of many distinct values.
+
+    Both layouts yield the same bits.  Subclasses provide the cycle,
+    the per-stream start positions and ``_start_shift`` (how many cycle
+    steps past the start position the stream's first clock sits).
     """
 
     _start_shift: int = 0
@@ -701,53 +845,104 @@ class _PackedCycleSource:
     def __init__(
         self,
         starts: "np.ndarray[Any, Any]",
-        inverse: "np.ndarray[Any, Any]",
-        packed_cycles: "np.ndarray[Any, Any]",
         period: int,
+        table: "np.ndarray[Any, Any]",
+        rows: "np.ndarray[Any, Any]",
+        sliced: Optional[
+            Tuple["np.ndarray[Any, Any]", "np.ndarray[Any, Any]"]
+        ] = None,
     ) -> None:
+        # Tiled (sliced None): starts per stream, table one row per
+        # threshold, rows each stream's threshold row.  Sliced: starts
+        # the distinct start positions, table the state planes, rows
+        # each stream's distinct (start, threshold) stream, and sliced
+        # those streams' start rows and threshold masks.
         self._starts = starts
-        self._inverse = inverse
-        self._packed_cycles = packed_cycles
         self._period = int(period)
+        self._table = table
+        self._rows = rows
+        self._sliced = sliced
 
-    @staticmethod
-    def _pack_value_cycles(
-        uniform: "np.ndarray[Any, Any]", values: Any, shape: Any
-    ) -> Tuple["np.ndarray[Any, Any]", "np.ndarray[Any, Any]"]:
-        """``(inverse, packed_cycles)`` for the unique comparison values.
+    @classmethod
+    def _from_cycle(
+        cls: Type[_Source],
+        key: Tuple[str, int],
+        cycle: "np.ndarray[Any, Any]",
+        starts: "np.ndarray[Any, Any]",
+        values: Any,
+        width: int,
+        length: Optional[int],
+    ) -> _Source:
+        """Build a source over *cycle* in the cheaper layout.
 
-        One tiled packed bit array per unique comparison value: enough
-        repeats of the period that a 64-bit window starting anywhere
-        in [0, period) stays in-bounds, with periodic continuation
-        automatic (two repeats except periods shorter than 64 bits).
+        Slicing costs ``(_SLICED_STREAM_COST * streams +
+        _SLICED_START_COST * starts) * ceil(length / 64) * width``,
+        tiling ``thresholds * period``.  An unknown *length* (``None``)
+        keeps the tiled words, which serve any number of re-reads.
         """
-        values = np.broadcast_to(np.asarray(values, dtype=float), shape)
-        unique_values, inverse = np.unique(values, return_inverse=True)
-        inverse = inverse.reshape(shape)
-        period = int(uniform.size)
-        repeats = 1 + -(-(_WORD_BITS - 1) // period)
-        cycle_bits = (uniform[None, :] < unique_values[:, None]).astype(
-            np.uint8
+        period = int(cycle.size)
+        thresholds = _comparator_thresholds(values, starts.shape, width)
+        unique, value_rows = np.unique(thresholds, return_inverse=True)
+        distinct, start_rows = np.unique(starts, return_inverse=True)
+        levels = (1 << int(width)) + 1
+        streams, stream_rows = np.unique(
+            start_rows.reshape(starts.shape) * levels + thresholds,
+            return_inverse=True,
         )
-        return inverse, pack_bits(np.tile(cycle_bits, (1, repeats)))
+        if length is not None and (
+            _SLICED_STREAM_COST * streams.size
+            + _SLICED_START_COST * distinct.size
+        ) * _word_count(length) * int(width) < unique.size * period:
+            bits = np.arange(int(width) + 1)[:, None, None]
+            masks = np.where(
+                (streams[:, None] % levels >> bits) & 1,
+                _ALL_ONES,
+                np.uint64(0),
+            )
+            return cls(
+                distinct,
+                period,
+                _cycle_planes(key, cycle, width),
+                stream_rows.reshape(starts.shape),
+                (streams // levels, masks),
+            )
+        cycle_bits = cycle[None, :] < unique.astype(cycle.dtype)[:, None]
+        cycle_bits = cycle_bits.view(np.uint8)
+        return cls(
+            starts,
+            period,
+            _tiled_words(cycle_bits, period),
+            value_rows.reshape(starts.shape),
+        )
+
+    def _read(
+        self, rows: "np.ndarray[Any, Any]", positions: "np.ndarray[Any, Any]"
+    ) -> "np.ndarray[Any, Any]":
+        """64-bit windows of *table* rows at cycle bit *positions*."""
+        positions = positions % self._period
+        word_index = positions >> 6
+        shift = (positions & 63).astype(np.uint64)
+        lo = self._table[rows, word_index]
+        hi = self._table[rows, word_index + 1]
+        high_part = hi << ((np.uint64(_WORD_BITS) - shift) & np.uint64(63))
+        return (lo >> shift) | np.where(shift == 0, np.uint64(0), high_part)
 
     def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
         """Packed words for stream clocks ``[offset, offset + count)``."""
         _check_window(offset, count)
-        words = _word_count(count)
-        positions = (
-            self._starts[..., None].astype(np.int64)
-            + self._start_shift
+        clocks = (
+            self._start_shift
             + int(offset)
-            + _WORD_BITS * np.arange(words, dtype=np.int64)
-        ) % self._period
-        word_index = positions >> 6
-        shift = (positions & 63).astype(np.uint64)
-        rows = self._inverse[..., None]
-        lo = self._packed_cycles[rows, word_index]
-        hi = self._packed_cycles[rows, word_index + 1]
-        high_part = hi << ((np.uint64(_WORD_BITS) - shift) & np.uint64(63))
-        out = (lo >> shift) | np.where(shift == 0, np.uint64(0), high_part)
+            + _WORD_BITS * np.arange(_word_count(count), dtype=np.int64)
+        )
+        starts = self._starts
+        if self._sliced is None:
+            out = self._read(self._rows[..., None], starts[..., None] + clocks)
+        else:
+            stream_starts, masks = self._sliced
+            planes = np.arange(self._table.shape[0])[:, None, None]
+            windows = self._read(planes, starts[None, :, None] + clocks)
+            out = _sliced_less(windows, stream_starts, masks)[self._rows]
         tail = count % _WORD_BITS
         if tail:
             out[..., -1] &= np.uint64((1 << tail) - 1)
@@ -760,26 +955,27 @@ class PackedLfsrSource(_PackedCycleSource):
     A maximal-length LFSR stream is a periodic window of one canonical
     cycle (:class:`_PackedCycleSource`); the stream's first clock is the
     *successor* of the seed state, hence ``_start_shift = 1``.  The
-    comparisons are the identical floats the unpacked path evaluates,
-    so the packed words are bit-exact with
+    comparator decisions are exactly those of the floats the unpacked
+    path evaluates, so the packed words are bit-exact with
     ``pack_bits(lfsr_uniform_windows(...) < values[..., None])``.
 
     Build through :meth:`create`, which returns ``None`` when the fast
     path does not apply (register wider than the cycle-table cache, or
     seeds off the canonical orbit) — callers then fall back to
-    compare-and-pack.
+    compare-and-pack.  *length*, the clocks the caller will read,
+    selects the sliced or tiled layout; ``None`` keeps the tiled one.
     """
 
     _start_shift: int = 1
 
     @classmethod
     def create(
-        cls, seeds: Any, values: Any, width: int
+        cls, seeds: Any, values: Any, width: int, length: Optional[int] = None
     ) -> Optional["PackedLfsrSource"]:
         if width > _TABLE_MAX_WIDTH:
             return None
         taps = _resolve_taps(width, None)
-        cycle, position, uniform = _cycle_tables(width, taps)
+        cycle, position, _ = _cycle_tables(width, taps)
         if cycle.size == 0:
             return None
         seeds = np.asarray(seeds, dtype=np.int64)
@@ -788,10 +984,9 @@ class PackedLfsrSource(_PackedCycleSource):
         starts = position[seeds]
         if np.any(starts < 0):
             return None
-        inverse, packed_cycles = cls._pack_value_cycles(
-            uniform, values, seeds.shape
+        return cls._from_cycle(
+            ("lfsr", int(width)), cycle, starts, values, width, length
         )
-        return cls(starts, inverse, packed_cycles, int(cycle.size))
 
 
 _SOBOL_CYCLE_CACHE: Dict[int, "np.ndarray[Any, Any]"] = {}
@@ -799,24 +994,27 @@ _SOBOL_CYCLE_LOCK = threading.Lock()
 _SOBOL_CYCLE_MAX_WIDTH = _TABLE_MAX_WIDTH
 
 
-def _sobol_cycle_uniforms(width: int) -> "np.ndarray[Any, Any]":
-    """The full-period van der Corput cycle for *width* bits, memoized.
+def _sobol_cycle_states(width: int) -> "np.ndarray[Any, Any]":
+    """The full-period van der Corput cycle as integer states, memoized.
 
     ``van_der_corput(i, width)`` consumes only the low *width* bits of
-    ``i``, so the sequence is exactly periodic with period
-    ``2**width`` — the property that makes the Sobol comparator stream
-    a :class:`_PackedCycleSource`.  The table is 8 MiB at the width cap
-    and shared process-wide, like the LFSR cycle tables.
+    ``i`` and equals ``reverse(i mod 2**width) / 2**width`` exactly, so
+    the sequence is periodic with period ``2**width`` and its states
+    are the bit-reversed counter — the property that makes the Sobol
+    comparator stream a :class:`_PackedCycleSource`.  The uint32 table
+    is 4 MiB at the width cap and shared process-wide, like the LFSR
+    cycle tables.
     """
     with _SOBOL_CYCLE_LOCK:
-        cycle = _SOBOL_CYCLE_CACHE.get(int(width))
-        if cycle is None:
-            cycle = van_der_corput(
-                np.arange(1 << int(width), dtype=np.int64), int(width)
-            )
-            cycle.setflags(write=False)
-            _SOBOL_CYCLE_CACHE[int(width)] = cycle
-    return cycle
+        states = _SOBOL_CYCLE_CACHE.get(int(width))
+        if states is None:
+            index = np.arange(1 << int(width), dtype=np.uint32)
+            states = np.zeros_like(index)
+            for bit in range(int(width)):
+                states |= ((index >> bit) & 1) << (int(width) - 1 - bit)
+            states.setflags(write=False)
+            _SOBOL_CYCLE_CACHE[int(width)] = states
+    return states
 
 
 class PackedSobolSource(_PackedCycleSource):
@@ -824,34 +1022,40 @@ class PackedSobolSource(_PackedCycleSource):
 
     The Sobol-like randomizer samples ``van_der_corput(offset + clock,
     width)``, which depends only on ``(offset + clock) mod 2**width`` —
-    a periodic cycle, so the same pack-once / gather-by-offset machinery
-    as :class:`PackedLfsrSource` applies with ``starts = offsets mod
-    2**width``.  The cycle uniforms are the identical floats
-    ``van_der_corput`` produces for any congruent index, so the packed
-    words are bit-exact with ``pack_bits(van_der_corput(offsets[...,
-    None] + arange(L), width) < values[..., None])``.
+    a periodic cycle of bit-reversed counter states, so the same
+    machinery as :class:`PackedLfsrSource` applies with ``starts =
+    offsets mod 2**width``.  The packed words are bit-exact with
+    ``pack_bits(van_der_corput(offsets[..., None] + arange(L), width) <
+    values[..., None])``.
 
     :meth:`create` returns ``None`` when *width* exceeds the cycle
     cache cap (``2**width``-entry tables stop paying off) — callers
-    then fall back to compare-and-pack.
+    then fall back to compare-and-pack.  *length* selects the layout as
+    for :meth:`PackedLfsrSource.create`.
     """
 
     @classmethod
     def create(
-        cls, offsets: Any, values: Any, width: int
+        cls,
+        offsets: Any,
+        values: Any,
+        width: int,
+        length: Optional[int] = None,
     ) -> Optional["PackedSobolSource"]:
         if width > _SOBOL_CYCLE_MAX_WIDTH:
             return None
         offsets = np.asarray(offsets, dtype=np.int64)
         if np.any(offsets < 0):
             raise ConfigurationError("sobol offsets must be >= 0")
-        period = 1 << int(width)
-        uniform = _sobol_cycle_uniforms(width)
-        starts = offsets % period
-        inverse, packed_cycles = cls._pack_value_cycles(
-            uniform, values, offsets.shape
+        states = _sobol_cycle_states(width)
+        return cls._from_cycle(
+            ("sobol", int(width)),
+            states,
+            offsets % states.size,
+            values,
+            width,
+            length,
         )
-        return cls(starts, inverse, packed_cycles, period)
 
 
 _PACK_BLOCK = 4096
@@ -1015,11 +1219,15 @@ def stream_source(
     if kind == "lfsr":
         stream_seeds = derive_lfsr_seeds(seeds, channel_count, width)
         if packed:
-            source = PackedLfsrSource.create(stream_seeds, values, width)
+            source = PackedLfsrSource.create(
+                stream_seeds, values, width, length
+            )
     elif kind == "sobol":
         stream_seeds = derive_sobol_offsets(seeds, channel_count)
         if packed:
-            source = PackedSobolSource.create(stream_seeds, values, width)
+            source = PackedSobolSource.create(
+                stream_seeds, values, width, length
+            )
     elif kind == "chaotic":
         stream_seeds = derive_chaotic_intensities(seeds, channel_count)
     else:
@@ -1044,10 +1252,9 @@ def _mux_words(
     per-clock bytes.  Tail bits stay zero because the packed coefficient
     words have zero tails.
     """
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
     out = np.zeros(level_planes[0].shape, dtype=np.uint64)
     for level in range(order + 1):
-        indicator = np.full(level_planes[0].shape, ones, dtype=np.uint64)
+        indicator = np.full(level_planes[0].shape, _ALL_ONES, dtype=np.uint64)
         for plane_index, plane in enumerate(level_planes):
             if (level >> plane_index) & 1:
                 indicator &= plane

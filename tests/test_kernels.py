@@ -7,6 +7,8 @@ kernel is a pure wall-clock/memory lever.
 """
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -382,6 +384,146 @@ class TestPackedWordSources:
             source.take(0, 64)
         with pytest.raises(ConfigurationError, match="sequential"):
             source.take(128, 64)
+
+
+SPECIAL_VALUES = (0.0, -0.0, 1.0, 1.5, -0.5, np.nan, np.inf, -np.inf)
+SLICED_CASES = [("lfsr", width) for width in (5, 8, 16, 20)] + [
+    ("sobol", width) for width in range(1, 21)
+]
+
+
+@st.composite
+def _comparator_values(draw, width, count):
+    """Values on the 2**-width grid, one float step off it, or special."""
+    values = []
+    for _ in range(count):
+        grid = draw(st.integers(0, 1 << width)) / float(1 << width)
+        step = draw(st.sampled_from((None, -np.inf, np.inf)))
+        values.append(
+            draw(
+                st.one_of(
+                    st.just(grid if step is None else np.nextafter(grid, step)),
+                    st.sampled_from(SPECIAL_VALUES),
+                )
+            )
+        )
+    return np.asarray(values, dtype=float)
+
+
+class TestSlicedComparatorWords:
+    """Both word layouts of the cycle sources against compare-and-pack.
+
+    The sliced layout compares integer cycle states against ``ceil(v *
+    2**width)`` with a word-wide bit-sliced comparator; it must agree
+    bit for bit with ``pack_bits(uniforms < values)`` on grid values,
+    their float neighbours and the special values, at offsets that
+    cross the period wrap and word-unaligned counts.
+    """
+
+    @pytest.mark.parametrize(
+        "kind,width", SLICED_CASES, ids=[f"{k}-{w}" for k, w in SLICED_CASES]
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_sliced_words_match_compare_and_pack(self, kind, width, data):
+        rows = data.draw(st.integers(1, 3))
+        channels = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):
+            base = np.full(rows, data.draw(st.integers(1, 2**20)))
+        else:
+            base = np.asarray(
+                data.draw(
+                    st.lists(st.integers(1, 2**20), min_size=rows, max_size=rows)
+                )
+            )
+        values = data.draw(
+            _comparator_values(width, rows * channels)
+        ).reshape(rows, channels)
+        period = (1 << width) - (kind == "lfsr")
+        offset = data.draw(st.integers(0, 3 * period))
+        count = data.draw(
+            st.sampled_from((1, 63, 64, 65, 130))
+            | st.integers(1, 300).filter(lambda n: n % 64)
+        )
+        if kind == "lfsr":
+            seeds = derive_lfsr_seeds(base, channels, width)
+            uniforms = lfsr_uniform_windows(seeds, count, width, offset=offset)
+            create = PackedLfsrSource.create
+        else:
+            seeds = derive_sobol_offsets(base, channels)
+            uniforms = van_der_corput(
+                seeds[..., None] + offset + np.arange(count), width
+            )
+            create = PackedSobolSource.create
+        expected = pack_bits(uniforms < values[..., None])
+        tiled = create(seeds, values, width)
+        assert tiled._sliced is None
+        assert np.array_equal(tiled.take(offset, count), expected)
+        # Zero slicing cost routes every known-length source to slices.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_SLICED_STREAM_COST", 0)
+            patch.setattr(kernels, "_SLICED_START_COST", 0)
+            sliced = create(seeds, values, width, count)
+        assert sliced._sliced is not None
+        assert np.array_equal(sliced.take(offset, count), expected)
+
+    def test_layout_routing_by_stream_shape(self):
+        rng = np.random.default_rng(11)
+
+        def data_bank(base_seeds, length):
+            return stream_source(
+                "lfsr", base_seeds, 2, 16, rng.random((base_seeds.size, 1)),
+                length, True,
+            )
+
+        # Serving: 64 distinct inputs, L = 4096, one fixed base seed;
+        # its coefficient bank is three distinct streams, sliced too.
+        assert data_bank(np.full(64, 0x5EED), 4096)._sliced is not None
+        serving_coefficients = stream_source(
+            "lfsr", np.full(64, 0x5EED), 3, 16,
+            np.array([[0.25, 0.625, 0.375]]), 4096, True,
+        )
+        assert serving_coefficients._sliced is not None
+        # Long chunked streams of per-row seeds read the cycle many
+        # times over, so they keep the tiled words.
+        for rows, length in ((64, 2**20), (128, 2**21)):
+            seeds = rng.integers(1, 2**16 - 1, rows)
+            assert data_bank(seeds, length)._sliced is None
+            coefficients = stream_source(
+                "lfsr", seeds, 3, 16, np.array([[0.25, 0.625, 0.375]]),
+                length, True,
+            )
+            assert coefficients._sliced is None
+
+    def test_concurrent_plane_builds_publish_one_read_only_table(
+        self, monkeypatch
+    ):
+        # Thread-backend shards and the serving executor race to build
+        # the planes; every racer must get the one cached table.
+        monkeypatch.setattr(kernels, "_CYCLE_PLANES", {})
+        seeds = derive_lfsr_seeds(np.array([3, 77]), 2, 12)
+        values = np.array([[0.1, 0.5], [0.25, 0.75]])
+        tables = []
+
+        def build():
+            for _ in range(20):
+                source = PackedLfsrSource.create(seeds, values, 12, 64)
+                tables.append(source._table)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(tables) == 6 * 20
+        assert all(table is tables[0] for table in tables)
+        assert not tables[0].flags.writeable
 
 
 class TestPassContextMemoization:

@@ -9,7 +9,8 @@ import pytest
 from repro.core.circuit import OpticalStochasticCircuit
 from repro.core.params import paper_section5a_parameters
 from repro.errors import ConfigurationError, OverloadedError
-from repro.serving import BatchServer, ServingStats
+from repro.serving import BatchServer, ManualClock, ServingStats
+from repro.serving import server as server_module
 from repro.session import EvalSpec, Evaluator
 from repro.stochastic.bernstein import BernsteinPolynomial
 
@@ -130,6 +131,56 @@ class TestServing:
         stats = asyncio.run(scenario())
         assert stats.largest_batch <= 4
         assert stats.batches >= 3
+
+    def test_queued_burst_drains_into_full_batches(
+        self, evaluator, monkeypatch
+    ):
+        # A burst queued behind a busy engine forms full batches, and
+        # batch formation awaits an arrival only when the queue is empty.
+        session, entered, release = gated_evaluator(evaluator)
+        gated = session.evaluate
+        sizes = []
+
+        def recording(xs):
+            sizes.append(len(xs))
+            return gated(xs)
+
+        session.evaluate = recording
+        xs = np.linspace(0.0, 1.0, 1 + 2 * 8 + 3)
+        direct = np.asarray(evaluator.evaluate(xs).values, dtype=float)
+        waits_on_queued = []
+        real_wait_for = server_module.asyncio.wait_for
+
+        async def scenario():
+            server = BatchServer(
+                session,
+                max_batch_size=8,
+                max_batch_delay_s=0.01,
+                clock=ManualClock(),
+            )
+
+            def counting_wait_for(awaitable, timeout):
+                waits_on_queued.append(not server._queue.empty())
+                return real_wait_for(awaitable, timeout)
+
+            monkeypatch.setattr(
+                server_module.asyncio, "wait_for", counting_wait_for
+            )
+            async with server:
+                first = asyncio.create_task(server.submit(float(xs[0])))
+                await asyncio.to_thread(entered.wait, 10.0)
+                burst = [
+                    asyncio.create_task(server.submit(float(x)))
+                    for x in xs[1:]
+                ]
+                await asyncio.sleep(0)
+                release.set()
+                return await asyncio.gather(first, *burst)
+
+        values = asyncio.run(scenario())
+        assert np.array_equal(np.asarray(values, dtype=float), direct)
+        assert sizes == [1, 8, 8, 3]
+        assert not any(waits_on_queued)
 
     def test_invalid_input_fails_eagerly_without_poisoning(self, evaluator):
         async def scenario():
